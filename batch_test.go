@@ -302,14 +302,21 @@ func TestMulticallParallelOrdering(t *testing.T) {
 	}
 }
 
-// 50-entry batch completes in less wall time than 50 sequential calls on
-// the same warmed connection, because it pays for one HTTP round trip and
-// one auth pass instead of fifty.
+// 50-entry batch pays for one HTTP round trip — and so one auth pass —
+// where 50 sequential calls on the same warmed connection pay for fifty.
+// That is what makes it faster; the wall-clock comparison itself is only
+// logged here (it is not stable on a loaded machine) and is measured by
+// the benchmark's portal-multicall workload.
 func TestMulticallFasterThanSequential(t *testing.T) {
-	_, c := startFull(t)
+	srv, c := startFull(t)
 	const n = 50
 	c.Call("system.ping") // warm the connection
+	httpRequests := func() float64 {
+		g := srv.Core().Telemetry().GaugeValues()
+		return g["clarens.conn.http1_requests"] + g["clarens.conn.http2_requests"]
+	}
 
+	before := httpRequests()
 	seqStart := time.Now()
 	for i := 0; i < n; i++ {
 		if _, err := c.Call("system.echo", fmt.Sprintf("seq-%d", i)); err != nil {
@@ -317,14 +324,17 @@ func TestMulticallFasterThanSequential(t *testing.T) {
 		}
 	}
 	sequential := time.Since(seqStart)
+	seqRequests := httpRequests() - before
 
 	b := c.Batch()
 	for i := 0; i < n; i++ {
 		b.Add("system.echo", fmt.Sprintf("batch-%d", i))
 	}
+	before = httpRequests()
 	batchStart := time.Now()
 	results, err := b.Run()
 	batched := time.Since(batchStart)
+	batchRequests := httpRequests() - before
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +347,7 @@ func TestMulticallFasterThanSequential(t *testing.T) {
 		}
 	}
 	t.Logf("sequential %v, batched %v (%.1fx)", sequential, batched, float64(sequential)/float64(batched))
-	if batched >= sequential {
-		t.Errorf("batched %d-call round trip (%v) not faster than sequential (%v)", n, batched, sequential)
+	if seqRequests != n || batchRequests != 1 {
+		t.Errorf("HTTP requests: %v sequential, %v batched; want %d and 1", seqRequests, batchRequests, n)
 	}
 }

@@ -91,8 +91,6 @@ const (
 	AnchorRecover  = core.AnchorRecover
 	AnchorTrace    = core.AnchorTrace
 	AnchorShed     = core.AnchorShed
-	AnchorMetrics  = core.AnchorMetrics
-	AnchorStats    = core.AnchorStats
 	AnchorAuth     = core.AnchorAuth
 	AnchorDeadline = core.AnchorDeadline
 	AnchorACL      = core.AnchorACL
@@ -297,10 +295,10 @@ type Config struct {
 	// pending tail-decision buffer is bounded by the same figure.
 	TraceCapacity int
 	// TelemetryInterval is the period for republishing aggregate RPC and
-	// gauge telemetry into the MonALISA station network, so the same
-	// stations that carry service discovery also carry load data
-	// (default 10s; negative disables). Requires StationAddrs or
-	// LocalStation.
+	// gauge telemetry (PublishTelemetry) onto the push-event bus and,
+	// when StationAddrs or LocalStation is set, into the MonALISA station
+	// network, so the same stations that carry service discovery also
+	// carry load data (default 10s; negative disables).
 	TelemetryInterval time.Duration
 	// Logger receives framework logs (nil discards).
 	Logger *log.Logger
@@ -491,14 +489,6 @@ func NewServer(cfg Config) (*Server, error) {
 		if s.Messages != nil {
 			notify = s.Messages
 		}
-		// Gauge records tee onto the event bus (always) and the station
-		// network (when configured), so /ws subscribers see the same load
-		// feed a MonALISA aggregator would.
-		var next jobsvc.MetricsPublisher
-		if s.publisher != nil {
-			next = s.publisher
-		}
-		gauges := &busMetrics{bus: cs.Events(), next: next}
 		// With a file service present, job results stage as artifacts:
 		// stdout/stderr spool to the per-owner-ACL'd /jobs/<id>/ trees and
 		// sandbox files matched by a job's collect globs ride along.
@@ -532,7 +522,7 @@ func NewServer(cfg Config) (*Server, error) {
 			Telemetry:         cs.Telemetry(),
 			Events:            cs.RequestLog(),
 			Spans:             cs.Spans(),
-		}, exec, notify, gauges, cfg.Name)
+		}, exec, notify)
 		if err != nil {
 			return fail(err)
 		}
@@ -546,13 +536,6 @@ func NewServer(cfg Config) (*Server, error) {
 		if err := cs.MethodACL().Set("job", &acl.ACL{AllowDNs: []string{acl.EntryAny}, AllowGroups: []string{vo.AdminsGroup}}); err != nil {
 			return fail(err)
 		}
-		reg := cs.Telemetry()
-		reg.RegisterGauge("clarens.job.queued", "jobs waiting in the local queue", func() float64 { return float64(js.Stats().Queued) })
-		reg.RegisterGauge("clarens.job.running", "jobs currently executing", func() float64 { return float64(js.Stats().Running) })
-		reg.RegisterGauge("clarens.job.remote", "jobs forwarded to peers, awaiting pull-back", func() float64 { return float64(js.Stats().Remote) })
-		reg.RegisterGauge("clarens.job.done", "jobs completed successfully", func() float64 { return float64(js.Stats().Done) })
-		reg.RegisterGauge("clarens.job.failed", "jobs that exhausted retries", func() float64 { return float64(js.Stats().Failed) })
-		reg.RegisterGauge("clarens.job.artifact_bytes", "cumulative bytes staged into artifact trees", func() float64 { return float64(js.Stats().ArtifactBytes) })
 		cs.RegisterStatsSection("jobs", func() map[string]any {
 			sn := js.Stats()
 			return map[string]any{
@@ -638,8 +621,9 @@ func NewServer(cfg Config) (*Server, error) {
 
 	// Telemetry republication: the stations that carry service discovery
 	// also carry load/latency data, so any JClarens-style aggregator can
-	// watch the whole federation's health from one station feed.
-	if s.publisher != nil && cfg.TelemetryInterval >= 0 {
+	// watch the whole federation's health from one station feed; /ws
+	// subscribers get the same records with or without stations.
+	if cfg.TelemetryInterval >= 0 {
 		every := cfg.TelemetryInterval
 		if every == 0 {
 			every = 10 * time.Second
@@ -655,22 +639,6 @@ func NewServer(cfg Config) (*Server, error) {
 // telemetry record (gauge or RPC-aggregate snapshot); the record's
 // Farm/Cluster/Node become tags and its Params the event data.
 const EventMonALISA = "monalisa.record"
-
-// busMetrics tees MonALISA records onto the push-event bus ahead of the
-// real station publisher (which may be absent), so /ws subscribers get
-// the same load feed the station network carries.
-type busMetrics struct {
-	bus  *pubsub.Bus
-	next jobsvc.MetricsPublisher
-}
-
-func (b *busMetrics) Publish(rec *monalisa.Record) error {
-	b.bus.Publish(recordEvent(rec))
-	if b.next != nil {
-		return b.next.Publish(rec)
-	}
-	return nil
-}
 
 // recordEvent converts a MonALISA record to its bus event form.
 func recordEvent(rec *monalisa.Record) pubsub.Event {
@@ -690,8 +658,7 @@ func recordEvent(rec *monalisa.Record) pubsub.Event {
 // observers that skip the WebSocket hop).
 func (s *Server) Events() *Bus { return s.core.Events() }
 
-// republishTelemetry periodically publishes one RPC-aggregate record and
-// one gauge record into the station network until Close.
+// republishTelemetry calls PublishTelemetry periodically until Close.
 func (s *Server) republishTelemetry(every time.Duration) {
 	defer s.telemetryWG.Done()
 	t := time.NewTicker(every)
@@ -707,42 +674,32 @@ func (s *Server) republishTelemetry(every time.Duration) {
 }
 
 // PublishTelemetry publishes one snapshot of the RPC aggregate latency
-// and every registered gauge to the configured stations, under
-// Farm=<server name>, Cluster="telemetry". It is called periodically
-// when TelemetryInterval is enabled and may also be invoked directly
-// (tests, forced flushes). Returns an error when no stations are
-// configured or a publish fails.
+// (Node="rpc") and of every registered gauge (Node="gauges"), under
+// Farm=<server name>, Cluster="telemetry": always as monalisa.record
+// events on the push-event bus, and to the stations when any are
+// configured. It is the server's one periodic monitoring feed, called
+// every TelemetryInterval, and may also be invoked directly (tests,
+// forced flushes). Returns the first station publish error.
 func (s *Server) PublishTelemetry() error {
-	if s.publisher == nil {
-		return fmt.Errorf("clarens: no station servers configured")
-	}
 	reg := s.core.Telemetry()
 	agg := reg.RPCAggregate()
-	rpcRec := &monalisa.Record{
-		Farm:    s.name,
-		Cluster: "telemetry",
-		Node:    "rpc",
-		Params: map[string]float64{
-			"clarens.rpc.requests":       float64(agg.Count),
-			"clarens.rpc.latency_p50_ms": agg.Quantile(0.5).Seconds() * 1e3,
-			"clarens.rpc.latency_p95_ms": agg.Quantile(0.95).Seconds() * 1e3,
-			"clarens.rpc.latency_p99_ms": agg.Quantile(0.99).Seconds() * 1e3,
-		},
-	}
-	s.core.Events().Publish(recordEvent(rpcRec))
-	err := s.publisher.Publish(rpcRec)
-	if gauges := reg.GaugeValues(); len(gauges) > 0 {
-		gaugeRec := &monalisa.Record{
-			Farm:    s.name,
-			Cluster: "telemetry",
-			Node:    "gauges",
-			Params:  gauges,
-		}
-		s.core.Events().Publish(recordEvent(gaugeRec))
-		if e := s.publisher.Publish(gaugeRec); err == nil {
-			err = e
+	var err error
+	publish := func(node string, params map[string]float64) {
+		rec := &monalisa.Record{Farm: s.name, Cluster: "telemetry", Node: node, Params: params}
+		s.core.Events().Publish(recordEvent(rec))
+		if s.publisher != nil {
+			if e := s.publisher.Publish(rec); err == nil {
+				err = e
+			}
 		}
 	}
+	publish("rpc", map[string]float64{
+		"clarens.rpc.requests":       float64(agg.Count),
+		"clarens.rpc.latency_p50_ms": agg.Quantile(0.5).Seconds() * 1e3,
+		"clarens.rpc.latency_p95_ms": agg.Quantile(0.95).Seconds() * 1e3,
+		"clarens.rpc.latency_p99_ms": agg.Quantile(0.99).Seconds() * 1e3,
+	})
+	publish("gauges", reg.GaugeValues())
 	return err
 }
 
@@ -766,22 +723,24 @@ func (s *Server) Core() *core.Server { return s.core }
 func (s *Server) Register(svc Service) error { return s.core.Register(svc) }
 
 // Use appends interceptors to the dispatch pipeline. They run in
-// registration order inside the built-in recovery/stats/auth/deadline/ACL
-// stages — immediately around each method handler, with the caller's
-// identity already resolved and authorized. They observe every call that
-// clears authorization, including each sub-call of a system.multicall
-// batch and calls to unknown methods (which fault at the terminal
-// stage); calls the built-in ACL stage denies are rejected before custom
-// interceptors run. See the README's "Writing interceptors" section for
-// a worked example.
+// registration order inside the six built-in stages
+// (recover/trace/shed/auth/deadline/acl) — immediately around each
+// method handler, with the caller's identity already resolved and
+// authorized. They observe every call that clears authorization,
+// including each sub-call of a system.multicall batch and calls to
+// unknown methods (which fault at the terminal stage); calls the
+// built-in ACL stage denies are rejected before custom interceptors run.
+// See the README's "Writing interceptors" section for a worked example.
 func (s *Server) Use(ics ...Interceptor) { s.core.Use(ics...) }
 
 // UseBefore inserts interceptors immediately before a named built-in
-// pipeline stage (AnchorRecover, AnchorStats, AnchorAuth, AnchorDeadline,
-// AnchorACL). Installing before AnchorAuth runs the stage with the
-// caller's identity still unresolved — the position for IP allowlists or
-// request decryption that must act ahead of any session lookup. Unknown
-// anchors are an error.
+// pipeline stage (AnchorRecover, AnchorTrace, AnchorShed, AnchorAuth,
+// AnchorDeadline, AnchorACL). Installing before AnchorAuth runs the
+// stage with the caller's identity still unresolved — the position for
+// IP allowlists or request decryption that must act ahead of any session
+// lookup; installing before AnchorShed puts it just inside the trace
+// stage, where the call's trace ID is already assigned. Unknown anchors
+// are an error.
 func (s *Server) UseBefore(anchor string, ics ...Interceptor) error {
 	return s.core.UseBefore(anchor, ics...)
 }

@@ -67,7 +67,7 @@ func main() {
 		mintSession  = flag.String("mint-session", "", "mint a session for this DN on startup and print the token (bootstrap/smoke tests)")
 		pprofFlag    = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (trusted networks only)")
 		reqLog       = flag.Bool("request-log", false, "emit one JSON log line per RPC dispatch and job lifecycle event to stderr")
-		telemetryInt = flag.Duration("telemetry-interval", 10*time.Second, "period for republishing RPC/gauge telemetry to the station network (negative = off)")
+		telemetryInt = flag.Duration("telemetry-interval", 10*time.Second, "period for republishing RPC/gauge telemetry to the event bus and the station network (negative = off)")
 		tlsID        = flag.String("tls-id", "", "server identity PEM bundle (cert+key) enabling HTTPS")
 		tlsCA        = flag.String("tls-ca", "", "CA certificate PEM for verifying client certificates")
 		requireCert  = flag.Bool("tls-require-cert", false, "require a verified client certificate")

@@ -93,7 +93,7 @@ func main() {
 	}
 
 	// 3. Observe every dispatched call with a custom interceptor — the
-	// same mechanism the framework's own auth, ACL, and stats stages use.
+	// same mechanism the framework's own auth, ACL, and trace stages use.
 	// Interceptors run concurrently across requests, hence the atomic.
 	var dispatched atomic.Int64
 	srv.Use(func(next clarens.Handler) clarens.Handler {

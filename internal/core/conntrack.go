@@ -15,6 +15,7 @@ import (
 	"crypto/tls"
 	"encoding/binary"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,39 +65,42 @@ func (t *connTracker) request(r *http.Request) {
 	}
 }
 
+// counters is the one listing of the tracker's counters. key is the
+// clarens.conn.* gauge suffix; the system.stats conn section uses it
+// too, less the "_total" a gauge of a monotonic count carries.
+func (t *connTracker) counters() []connCounter {
+	return []connCounter{
+		{"opened_total", "TCP connections accepted by the listener.", &t.opened},
+		{"closed_total", "HTTP/1.x connections closed (HTTP/2 connections are tracked at handshake level only).", &t.closed},
+		{"handshakes_total", "TLS handshakes completed.", &t.handshakes},
+		{"handshakes_resumed", "TLS handshakes resumed from a session ticket (no certificate re-exchange).", &t.resumed},
+		{"negotiated_h2", "TLS handshakes that negotiated HTTP/2 via ALPN.", &t.alpnH2},
+		{"negotiated_http1", "TLS handshakes that negotiated HTTP/1.1 (or offered no ALPN).", &t.alpnHTTP1},
+		{"http2_requests", "RPC requests served over HTTP/2.", &t.reqH2},
+		{"http1_requests", "RPC requests served over HTTP/1.x.", &t.reqHTTP1},
+	}
+}
+
+type connCounter struct {
+	key, help string
+	v         *atomic.Int64
+}
+
 // register exposes the tracker on the telemetry registry under the
 // clarens.conn.* namespace.
 func (t *connTracker) register(reg *telemetry.Registry) {
-	reg.RegisterGauge("clarens.conn.opened_total", "TCP connections accepted by the listener.",
-		func() float64 { return float64(t.opened.Load()) })
-	reg.RegisterGauge("clarens.conn.closed_total", "HTTP/1.x connections closed (HTTP/2 connections are tracked at handshake level only).",
-		func() float64 { return float64(t.closed.Load()) })
-	reg.RegisterGauge("clarens.conn.handshakes_total", "TLS handshakes completed.",
-		func() float64 { return float64(t.handshakes.Load()) })
-	reg.RegisterGauge("clarens.conn.handshakes_resumed", "TLS handshakes resumed from a session ticket (no certificate re-exchange).",
-		func() float64 { return float64(t.resumed.Load()) })
-	reg.RegisterGauge("clarens.conn.negotiated_h2", "TLS handshakes that negotiated HTTP/2 via ALPN.",
-		func() float64 { return float64(t.alpnH2.Load()) })
-	reg.RegisterGauge("clarens.conn.negotiated_http1", "TLS handshakes that negotiated HTTP/1.1 (or offered no ALPN).",
-		func() float64 { return float64(t.alpnHTTP1.Load()) })
-	reg.RegisterGauge("clarens.conn.http2_requests", "RPC requests served over HTTP/2.",
-		func() float64 { return float64(t.reqH2.Load()) })
-	reg.RegisterGauge("clarens.conn.http1_requests", "RPC requests served over HTTP/1.x.",
-		func() float64 { return float64(t.reqHTTP1.Load()) })
+	for _, c := range t.counters() {
+		reg.RegisterGauge("clarens.conn."+c.key, c.help, func() float64 { return float64(c.v.Load()) })
+	}
 }
 
 // stats snapshots the tracker for system.stats.
 func (t *connTracker) stats() map[string]any {
-	return map[string]any{
-		"opened":             t.opened.Load(),
-		"closed":             t.closed.Load(),
-		"handshakes":         t.handshakes.Load(),
-		"handshakes_resumed": t.resumed.Load(),
-		"negotiated_h2":      t.alpnH2.Load(),
-		"negotiated_http1":   t.alpnHTTP1.Load(),
-		"http2_requests":     t.reqH2.Load(),
-		"http1_requests":     t.reqHTTP1.Load(),
+	out := make(map[string]any)
+	for _, c := range t.counters() {
+		out[strings.TrimSuffix(c.key, "_total")] = c.v.Load()
 	}
+	return out
 }
 
 // ticketKeeper manages the server's TLS session-ticket keys. Two modes:

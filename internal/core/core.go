@@ -25,6 +25,7 @@ import (
 	"clarens/internal/pki"
 	"clarens/internal/rpc"
 	"clarens/internal/session"
+	"clarens/internal/telemetry"
 	"clarens/internal/vo"
 )
 
@@ -130,6 +131,9 @@ type Context struct {
 	// set by the X-Clarens-Trace-Sample header, a sub-call's sample flag,
 	// or the method's TraceSample bit.
 	forceSample bool
+	// shed is set by the shed stage when it rejects the call unexecuted;
+	// the observe stage then keeps it out of the per-method counters.
+	shed bool
 
 	srv *Server
 }
@@ -409,37 +413,20 @@ func (r *registry) count() int {
 	return len(r.methods)
 }
 
-// Stats aggregates dispatch counters reported by system.stats.
-type Stats struct {
-	mu        sync.Mutex
-	Requests  uint64
-	Faults    uint64
-	ByMethod  map[string]uint64
-	StartTime time.Time
-}
+// Stats is the dispatch-count view of the telemetry registry: it stores
+// nothing, so it cannot disagree with system.stats or /metrics.
+type Stats struct{ reg *telemetry.Registry }
 
-func (s *Stats) record(method string, fault bool) {
-	s.mu.Lock()
-	s.Requests++
-	if fault {
-		s.Faults++
+// Snapshot totals the registry's per-method request and fault counters.
+func (s Stats) Snapshot() (requests, faults uint64, byMethod map[string]uint64) {
+	methods := s.reg.MethodSnapshots()
+	byMethod = make(map[string]uint64, len(methods))
+	for _, m := range methods {
+		requests += m.Requests
+		faults += m.Faults
+		byMethod[m.Method] = m.Requests
 	}
-	if s.ByMethod == nil {
-		s.ByMethod = make(map[string]uint64)
-	}
-	s.ByMethod[method]++
-	s.mu.Unlock()
-}
-
-// Snapshot returns a copy of the counters.
-func (s *Stats) Snapshot() (requests, faults uint64, byMethod map[string]uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byMethod = make(map[string]uint64, len(s.ByMethod))
-	for k, v := range s.ByMethod {
-		byMethod[k] = v
-	}
-	return s.Requests, s.Faults, byMethod
+	return requests, faults, byMethod
 }
 
 // sortedMethodNames sorts in place and returns names.

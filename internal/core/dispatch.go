@@ -34,26 +34,22 @@ const (
 	AnchorRecover  = "recover"
 	AnchorTrace    = "trace"
 	AnchorShed     = "shed"
-	AnchorMetrics  = "metrics"
-	AnchorStats    = "stats"
 	AnchorAuth     = "auth"
 	AnchorDeadline = "deadline"
 	AnchorACL      = "acl"
 )
 
-// anchorNames lists the valid UseBefore anchors for error messages.
-const anchorNames = "recover, trace, shed, metrics, stats, auth, deadline, acl"
-
 // Use appends interceptors to the dispatch pipeline. Interceptors run in
-// registration order, outermost first; the built-in stages (panic
-// recovery, stats, authentication, deadline, ACL authorization) are
-// registered at construction, so interceptors added afterwards run inside
-// them — after the caller's identity is resolved and authorized, and
-// immediately around the method handler. Consequently they never see
-// calls the ACL stage denies; audit trails for denied attempts belong in
-// the stats counters, not a Use-registered stage (or in a stage installed
-// with UseBefore). Safe to call at any time; in-flight dispatches keep
-// the pipeline they started with.
+// registration order, outermost first; the six built-in stages (panic
+// recovery, trace/observe, shed, authentication, deadline, ACL
+// authorization) are registered at construction, so interceptors added
+// afterwards run inside them — after the caller's identity is resolved
+// and authorized, and immediately around the method handler.
+// Consequently they never see calls the ACL stage denies; audit trails
+// for denied attempts belong in the per-method counters, not a
+// Use-registered stage (or in a stage installed with UseBefore). Safe to
+// call at any time; in-flight dispatches keep the pipeline they started
+// with.
 func (s *Server) Use(ics ...Interceptor) {
 	s.dispatchMu.Lock()
 	for _, ic := range ics {
@@ -64,13 +60,15 @@ func (s *Server) Use(ics ...Interceptor) {
 }
 
 // UseBefore inserts interceptors immediately before the named built-in
-// stage (AnchorRecover, AnchorStats, AnchorAuth, AnchorDeadline,
-// AnchorACL). A stage installed before AnchorAuth runs with the caller's
-// identity still unresolved — the position for IP allowlists, request
-// decryption, or connection throttles that must act ahead of any
-// database work. Multiple interceptors insert in argument order at the
-// same anchor; repeated calls stack outside earlier insertions at that
-// anchor. Unknown anchors are an error.
+// stage (AnchorRecover, AnchorTrace, AnchorShed, AnchorAuth,
+// AnchorDeadline, AnchorACL). A stage installed before AnchorAuth runs
+// with the caller's identity still unresolved — the position for IP
+// allowlists, request decryption, or connection throttles that must act
+// ahead of any database work; one installed before AnchorShed sits just
+// inside the trace stage and already sees the call's trace ID. Multiple
+// interceptors insert in argument order at the same anchor; repeated
+// calls stack outside earlier insertions at that anchor. Unknown anchors
+// are an error.
 func (s *Server) UseBefore(anchor string, ics ...Interceptor) error {
 	if len(ics) == 0 {
 		return nil
@@ -78,14 +76,19 @@ func (s *Server) UseBefore(anchor string, ics ...Interceptor) error {
 	s.dispatchMu.Lock()
 	defer s.dispatchMu.Unlock()
 	idx := -1
+	var anchors []string
 	for i, st := range s.interceptors {
+		if st.name == "" {
+			continue
+		}
 		if st.name == anchor {
 			idx = i
 			break
 		}
+		anchors = append(anchors, st.name)
 	}
 	if idx < 0 {
-		return fmt.Errorf("core: unknown interceptor anchor %q (anchors: %s)", anchor, anchorNames)
+		return fmt.Errorf("core: unknown interceptor anchor %q (anchors: %s)", anchor, strings.Join(anchors, ", "))
 	}
 	ins := make([]pipelineStage, len(ics))
 	for i, ic := range ics {
@@ -119,7 +122,7 @@ func (s *Server) composedPipeline() Handler {
 
 // invokeMethod is the terminal pipeline stage: it executes the resolved
 // handler and normalizes the result into the codec value model, so that
-// the stats stage observes normalization failures as faults too.
+// the observe stage sees normalization failures as faults too.
 func (s *Server) invokeMethod(ctx *Context, params Params) (any, error) {
 	if ctx.method == nil {
 		return nil, &rpc.Fault{Code: rpc.CodeMethodNotFound, Message: fmt.Sprintf("no such method %q", ctx.methodName)}
@@ -135,6 +138,13 @@ func (s *Server) invokeMethod(ctx *Context, params Params) (any, error) {
 	return norm, nil
 }
 
+// panicFault is what a panicking handler's caller receives: the recovery
+// stage returns it, and the observe stage records it while the panic is
+// still unwinding.
+func panicFault(method string) *rpc.Fault {
+	return &rpc.Fault{Code: rpc.CodeInternal, Message: fmt.Sprintf("internal error: method %s panicked", method)}
+}
+
 // recoverInterceptor converts a handler panic into an RPC fault instead of
 // letting it tear down the serving goroutine (and, for multicall
 // sub-calls, instead of aborting the rest of the batch).
@@ -143,25 +153,26 @@ func (s *Server) recoverInterceptor(next Handler) Handler {
 		defer func() {
 			if r := recover(); r != nil {
 				s.logger.Printf("core: panic in %s: %v\n%s", ctx.methodName, r, debug.Stack())
-				result = nil
-				err = &rpc.Fault{Code: rpc.CodeInternal, Message: fmt.Sprintf("internal error: method %s panicked", ctx.methodName)}
+				result, err = nil, panicFault(ctx.methodName)
 			}
 		}()
 		return next(ctx, params)
 	}
 }
 
-// traceInterceptor establishes the dispatch's trace identity, records
-// the completed span into the flight recorder, and, when a request log
-// is configured, emits one structured entry per dispatched call. A
+// observeInterceptor (AnchorTrace) is the pipeline's one observing
+// stage. On the way in it establishes the dispatch's trace identity: a
 // directly POSTed call adopts a valid inbound X-Clarens-Trace header
 // (and the X-Clarens-Trace-Sample force bit) or mints a fresh trace ID;
 // multicall sub-calls arrive with their trace and span already derived
-// by Invoke and keep them. Sitting just inside the recovery stage, it
-// observes every call — including unknown methods and ACL denials — so
-// a trace never goes dark at a fault.
-func (s *Server) traceInterceptor(next Handler) Handler {
-	return func(ctx *Context, params Params) (any, error) {
+// by Invoke and keep them. On the way out one deferred block — which
+// also runs when a panic unwinds through it — takes the call's duration
+// and outcome once and hands them to every consumer. Sitting just
+// inside the recovery stage, it sees every call, including unknown
+// methods, ACL denials, shed rejections and panics, so a trace never
+// goes dark at a fault.
+func (s *Server) observeInterceptor(next Handler) Handler {
+	return func(ctx *Context, params Params) (result any, err error) {
 		if ctx.span == "" {
 			ctx.localRoot = true
 			if ctx.trace == "" {
@@ -182,72 +193,88 @@ func (s *Server) traceInterceptor(next Handler) Handler {
 		if ctx.method != nil && ctx.method.TraceSample {
 			ctx.forceSample = true
 		}
-		st, lg := s.spans, s.requestLog
-		if st == nil && lg == nil {
-			return next(ctx, params)
-		}
 		start := time.Now()
-		result, err := next(ctx, params)
-		dur := time.Since(start)
-		faultCode := 0
-		if err != nil {
-			faultCode = rpc.CodeApplication
-			if f, ok := err.(*rpc.Fault); ok {
-				faultCode = f.Code
+		returned := false
+		defer func() {
+			if !returned {
+				err = panicFault(ctx.methodName) // overwritten by the recovery stage's own copy
 			}
-		}
-		if st != nil {
-			sp := telemetry.Span{
-				Trace:    ctx.trace,
-				Span:     ctx.span,
-				Parent:   ctx.parentSpan,
-				Method:   ctx.methodName,
-				Peer:     ctx.RemoteAddr,
-				Start:    start,
-				Duration: dur,
-				Fault:    faultCode,
-				Depth:    ctx.depth,
-			}
-			if !ctx.DN.IsZero() {
-				sp.DN = ctx.DN.String()
-			}
-			st.Record(sp, ctx.localRoot, ctx.forceSample)
-		}
-		if lg != nil {
-			attrs := make([]slog.Attr, 0, 12)
-			attrs = append(attrs,
-				slog.String("method", ctx.methodName),
-				slog.String("trace", ctx.trace),
-				slog.String("span", ctx.span),
-				slog.String("proto", ctx.Protocol),
-				slog.Float64("dur_ms", float64(dur)/float64(time.Millisecond)),
-			)
-			if ctx.parentSpan != "" {
-				attrs = append(attrs, slog.String("parent_span", ctx.parentSpan), slog.Int("depth", ctx.depth))
-			}
-			if !ctx.DN.IsZero() {
-				attrs = append(attrs, slog.String("dn", ctx.DN.String()))
-			}
-			if ctx.RemoteAddr != "" {
-				attrs = append(attrs, slog.String("remote", ctx.RemoteAddr))
-			}
-			if err != nil {
-				attrs = append(attrs, slog.Int("fault", faultCode), slog.String("error", err.Error()))
-			}
-			level := slog.LevelInfo
-			msg := "rpc"
-			// Slow-request escalation: a local-root dispatch over the
-			// tail-sampling threshold warns with its span breakdown inline,
-			// so slow traces are findable without scraping the store.
-			if st != nil && ctx.localRoot && dur >= st.Slow() {
-				level = slog.LevelWarn
-				msg = "slow rpc"
-				attrs = append(attrs, slog.String("spans", spanBreakdown(st.Trace(ctx.trace))))
-			}
-			lg.LogAttrs(ctx.Context, level, msg, attrs...)
-		}
+			s.observe(ctx, start, time.Since(start), err)
+		}()
+		result, err = next(ctx, params)
+		returned = true
 		return result, err
 	}
+}
+
+// observe feeds one finished dispatch to its three consumers: the
+// telemetry registry (the per-method counters and histograms behind
+// /metrics, system.stats and the MonALISA republication), the flight
+// recorder, and the request log. A call the shed stage rejected never
+// executed, so it is traced and logged but kept out of the registry,
+// whose latency histograms would otherwise fill with sub-microsecond
+// refusals.
+func (s *Server) observe(ctx *Context, start time.Time, dur time.Duration, err error) {
+	if !ctx.shed {
+		s.telemetry.ObserveRPC(ctx.methodName, err != nil, dur)
+	}
+	st, lg := s.spans, s.requestLog
+	if st == nil && lg == nil {
+		return
+	}
+	sp := telemetry.Span{
+		Trace:    ctx.trace,
+		Span:     ctx.span,
+		Parent:   ctx.parentSpan,
+		Method:   ctx.methodName,
+		Peer:     ctx.RemoteAddr,
+		Start:    start,
+		Duration: dur,
+		Depth:    ctx.depth,
+	}
+	if err != nil {
+		sp.Fault = faultOf(err).Code
+	}
+	if !ctx.DN.IsZero() {
+		sp.DN = ctx.DN.String()
+	}
+	if st != nil {
+		st.Record(sp, ctx.localRoot, ctx.forceSample)
+	}
+	if lg == nil {
+		return
+	}
+	attrs := make([]slog.Attr, 0, 12)
+	attrs = append(attrs,
+		slog.String("method", sp.Method),
+		slog.String("trace", sp.Trace),
+		slog.String("span", sp.Span),
+		slog.String("proto", ctx.Protocol),
+		slog.Float64("dur_ms", float64(dur)/float64(time.Millisecond)),
+	)
+	if sp.Parent != "" {
+		attrs = append(attrs, slog.String("parent_span", sp.Parent), slog.Int("depth", sp.Depth))
+	}
+	if sp.DN != "" {
+		attrs = append(attrs, slog.String("dn", sp.DN))
+	}
+	if sp.Peer != "" {
+		attrs = append(attrs, slog.String("remote", sp.Peer))
+	}
+	if err != nil {
+		attrs = append(attrs, slog.Int("fault", sp.Fault), slog.String("error", err.Error()))
+	}
+	level := slog.LevelInfo
+	msg := "rpc"
+	// Slow-request escalation: a local-root dispatch over the
+	// tail-sampling threshold warns with its span breakdown inline,
+	// so slow traces are findable without scraping the store.
+	if st != nil && ctx.localRoot && dur >= st.Slow() {
+		level = slog.LevelWarn
+		msg = "slow rpc"
+		attrs = append(attrs, slog.String("spans", spanBreakdown(st.Trace(sp.Trace))))
+	}
+	lg.LogAttrs(ctx.Context, level, msg, attrs...)
 }
 
 // spanBreakdown renders a trace's recorded spans as one compact string
@@ -275,72 +302,34 @@ func spanBreakdown(spans []telemetry.Span) string {
 // already executing, or when the caller's deadline has expired before
 // any work was done, it rejects immediately with CodeOverloaded — the
 // one fault code that promises the request never executed, so clients
-// retry it freely (ideally against another peer). Sitting inside trace
-// but outside metrics, rejections are traced and logged without
-// polluting the per-method latency histograms with sub-microsecond
-// refusals.
+// retry it freely (ideally against another peer). A rejection is marked
+// on the Context for the observe stage outside; the fault code alone
+// would not do, since a handler may relay a peer's CodeOverloaded.
 func (s *Server) shedInterceptor(next Handler) Handler {
+	reject := func(ctx *Context, msg string) (any, error) {
+		s.shed.Inc()
+		ctx.shed = true
+		return nil, &rpc.Fault{Code: rpc.CodeOverloaded, Message: msg}
+	}
 	return func(ctx *Context, params Params) (any, error) {
 		if ctx.depth > 0 {
 			return next(ctx, params)
 		}
 		if s.draining.Load() {
-			s.shed.Inc()
-			return nil, &rpc.Fault{Code: rpc.CodeOverloaded, Message: "server draining: retry against another peer"}
+			return reject(ctx, "server draining: retry against another peer")
 		}
 		// Deadline-aware early rejection: if the caller's budget is
 		// already spent, executing the call only wastes server capacity
 		// on a response nobody is waiting for.
 		if dl, ok := ctx.Context.Deadline(); ok && !time.Now().Before(dl) {
-			s.shed.Inc()
-			return nil, &rpc.Fault{Code: rpc.CodeOverloaded, Message: "deadline expired before execution"}
+			return reject(ctx, "deadline expired before execution")
 		}
 		n := s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 		if max := s.cfg.MaxInFlight; max > 0 && n > int64(max) {
-			s.shed.Inc()
-			return nil, &rpc.Fault{Code: rpc.CodeOverloaded, Message: fmt.Sprintf("server overloaded: %d calls in flight", n-1)}
+			return reject(ctx, fmt.Sprintf("server overloaded: %d calls in flight", n-1))
 		}
 		return next(ctx, params)
-	}
-}
-
-// metricsInterceptor times every dispatch into the telemetry registry's
-// per-method histograms and request/fault counters — the numbers behind
-// /metrics, the system.stats latency section, and the MonALISA
-// republication. A panic further down is observed as a fault with the
-// duration up to the unwind, then re-raised for the recovery stage.
-func (s *Server) metricsInterceptor(next Handler) Handler {
-	return func(ctx *Context, params Params) (any, error) {
-		start := time.Now()
-		recorded := false
-		defer func() {
-			if !recorded {
-				s.telemetry.ObserveRPC(ctx.methodName, true, time.Since(start))
-			}
-		}()
-		result, err := next(ctx, params)
-		recorded = true
-		s.telemetry.ObserveRPC(ctx.methodName, err != nil, time.Since(start))
-		return result, err
-	}
-}
-
-// statsInterceptor records the per-method dispatch counters reported by
-// system.stats. A panic further down the chain is counted as a fault and
-// re-raised for the recovery stage to convert.
-func (s *Server) statsInterceptor(next Handler) Handler {
-	return func(ctx *Context, params Params) (any, error) {
-		recorded := false
-		defer func() {
-			if !recorded {
-				s.stats.record(ctx.methodName, true)
-			}
-		}()
-		result, err := next(ctx, params)
-		recorded = true
-		s.stats.record(ctx.methodName, err != nil)
-		return result, err
 	}
 }
 
@@ -401,20 +390,17 @@ func (s *Server) aclInterceptor(next Handler) Handler {
 
 // registerBuiltinInterceptors installs the default pipeline. Order
 // matters: recovery outermost (a panic anywhere still yields a fault),
-// then trace (every call — even one that faults below — carries an ID
-// and reaches the request log), metrics (latency histograms observe
-// denied and unknown-method calls too), stats, identity, deadline, and
-// authorization. Custom interceptors appended later via Use run inside
-// all of these; UseBefore positions them against the anchor names
-// registered here.
+// then trace/observe (every call — even one that faults, is shed or
+// panics below — carries an ID and is counted, timed and logged once),
+// shed, identity, deadline, and authorization. Custom interceptors
+// appended later via Use run inside all of these; UseBefore positions
+// them against the anchor names registered here.
 func (s *Server) registerBuiltinInterceptors() {
 	s.dispatchMu.Lock()
 	s.interceptors = append(s.interceptors,
 		pipelineStage{name: AnchorRecover, ic: s.recoverInterceptor},
-		pipelineStage{name: AnchorTrace, ic: s.traceInterceptor},
+		pipelineStage{name: AnchorTrace, ic: s.observeInterceptor},
 		pipelineStage{name: AnchorShed, ic: s.shedInterceptor},
-		pipelineStage{name: AnchorMetrics, ic: s.metricsInterceptor},
-		pipelineStage{name: AnchorStats, ic: s.statsInterceptor},
 		pipelineStage{name: AnchorAuth, ic: s.authInterceptor},
 		pipelineStage{name: AnchorDeadline, ic: s.deadlineInterceptor},
 		pipelineStage{name: AnchorACL, ic: s.aclInterceptor},
@@ -513,17 +499,22 @@ func (s *Server) InvokeTraceSample(parent *Context, trace, method string, params
 	return s.run(ctx, &rpc.Request{Method: method, Params: params})
 }
 
+// faultOf shapes a handler error into the fault the client receives: a
+// *rpc.Fault as is, anything else as an application fault.
+func faultOf(err error) *rpc.Fault {
+	if f, ok := err.(*rpc.Fault); ok {
+		return f
+	}
+	return &rpc.Fault{Code: rpc.CodeApplication, Message: err.Error()}
+}
+
 // run feeds one prepared context through the pipeline and shapes the
 // outcome into a protocol response.
 func (s *Server) run(ctx *Context, req *rpc.Request) *rpc.Response {
 	resp := &rpc.Response{ID: req.ID}
 	result, err := s.composedPipeline()(ctx, Params(req.Params))
 	if err != nil {
-		if f, ok := err.(*rpc.Fault); ok {
-			resp.Fault = f
-		} else {
-			resp.Fault = &rpc.Fault{Code: rpc.CodeApplication, Message: err.Error()}
-		}
+		resp.Fault = faultOf(err)
 		return resp
 	}
 	resp.Result = result

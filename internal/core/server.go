@@ -139,14 +139,13 @@ type Server struct {
 	methACL  *acl.Manager
 	registry *registry
 	codecs   []rpc.Codec
-	stats    Stats
 	logger   *log.Logger
 
 	telemetry  *telemetry.Registry
 	requestLog *slog.Logger
 
 	// spans is the flight recorder (nil when Config.TraceStore is off);
-	// populated by the trace pipeline stage, queried by the trace service
+	// populated by the observe pipeline stage, queried by the trace service
 	// and /debug/traces.
 	spans *telemetry.SpanStore
 	// runtimeSampler feeds the clarens.runtime.* gauges; stopped once on
@@ -227,7 +226,6 @@ func NewServer(cfg Config) (*Server, error) {
 		events:     pubsub.New(),
 		started:    time.Now(),
 	}
-	s.stats.StartTime = s.started
 	s.events.Instrument(s.telemetry)
 	s.registerBuiltinInterceptors()
 	s.telemetry.RegisterGauge("clarens.core.sessions", "Active sessions.",
@@ -349,7 +347,7 @@ func (s *Server) VO() *vo.Manager { return s.vom }
 func (s *Server) MethodACL() *acl.Manager { return s.methACL }
 
 // Stats returns the live dispatch counters.
-func (s *Server) Stats() *Stats { return &s.stats }
+func (s *Server) Stats() Stats { return Stats{s.telemetry} }
 
 // Telemetry returns the server's metrics registry: per-method latency
 // histograms fed by the dispatch pipeline, plus the counters, gauges,
@@ -579,7 +577,8 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 			fault = &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
 		}
 		s.writeResponse(w, codec, &rpc.Response{Fault: fault})
-		s.stats.record("(parse-error)", true)
+		// No dispatch ran, so there is no latency to report.
+		s.telemetry.ObserveRPC("(parse-error)", true, 0)
 		return
 	}
 	resp := s.Dispatch(r, codec.Name(), req)

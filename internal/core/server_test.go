@@ -549,11 +549,20 @@ func TestStatsRecording(t *testing.T) {
 	s := newTestServer(t)
 	call(t, s, xmlrpc.New(), nil, "system.ping")
 	call(t, s, xmlrpc.New(), nil, "no.method")
+	// A body no codec can decode never reaches dispatch but is counted.
+	bad := httptest.NewRequest(http.MethodPost, "/rpc", strings.NewReader("<bogus"))
+	bad.Header.Set("Content-Type", "text/xml")
+	s.Handler().ServeHTTP(httptest.NewRecorder(), bad)
 	requests, faults, byMethod := s.Stats().Snapshot()
-	if requests != 2 || faults != 1 {
+	if requests != 3 || faults != 2 {
 		t.Errorf("requests=%d faults=%d", requests, faults)
 	}
-	if byMethod["system.ping"] != 1 {
+	if byMethod["system.ping"] != 1 || byMethod["(parse-error)"] != 1 {
 		t.Errorf("byMethod = %v", byMethod)
+	}
+	var metrics strings.Builder
+	s.Telemetry().WritePrometheus(&metrics)
+	if want := `clarens_rpc_faults_total{method="(parse-error)"} 1`; !strings.Contains(metrics.String(), want) {
+		t.Errorf("/metrics lacks %s", want)
 	}
 }

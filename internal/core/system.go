@@ -297,15 +297,15 @@ func (sv systemService) stats(ctx *Context, p Params) (any, error) {
 	if err := ctx.RequireServerAdmin(); err != nil {
 		return nil, err
 	}
-	requests, faults, byMethod := sv.s.stats.Snapshot()
-	perMethod := make(map[string]any, len(byMethod))
-	for k, v := range byMethod {
-		perMethod[k] = int(v)
-	}
-	// Per-method latency quantiles and fault counts from the telemetry
-	// registry (the same numbers the /metrics endpoint exposes).
+	// Totals, per-method counts and latency quantiles all come from one
+	// snapshot of the telemetry registry (the numbers /metrics exposes).
+	var requests, faults uint64
+	perMethod := make(map[string]any)
 	latency := make(map[string]any)
 	for _, m := range sv.s.telemetry.MethodSnapshots() {
+		requests += m.Requests
+		faults += m.Faults
+		perMethod[m.Method] = int(m.Requests)
 		latency[m.Method] = map[string]any{
 			"count":  int(m.Requests),
 			"faults": int(m.Faults),

@@ -133,13 +133,14 @@ func TestMulticallSubCallTraceOverride(t *testing.T) {
 	}
 }
 
-// TestUseBeforeTraceAndMetricsAnchors pins the new stages' positions: a
-// stage before AnchorTrace sees no trace yet; one before AnchorMetrics
-// (inside trace) sees it assigned.
-func TestUseBeforeTraceAndMetricsAnchors(t *testing.T) {
+// TestUseBeforeTraceAndShedAnchors pins the observing stage's position: a
+// stage before AnchorTrace sees no trace yet; one before AnchorShed
+// (inside trace) sees it assigned. The anchors of the stages merged into
+// trace are gone.
+func TestUseBeforeTraceAndShedAnchors(t *testing.T) {
 	s := newTestServer(t)
 	var mu sync.Mutex
-	var beforeTrace, beforeMetrics string
+	var beforeTrace, beforeShed string
 	if err := s.UseBefore(AnchorTrace, func(next Handler) Handler {
 		return func(ctx *Context, p Params) (any, error) {
 			mu.Lock()
@@ -150,10 +151,10 @@ func TestUseBeforeTraceAndMetricsAnchors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.UseBefore(AnchorMetrics, func(next Handler) Handler {
+	if err := s.UseBefore(AnchorShed, func(next Handler) Handler {
 		return func(ctx *Context, p Params) (any, error) {
 			mu.Lock()
-			beforeMetrics = ctx.TraceID()
+			beforeShed = ctx.TraceID()
 			mu.Unlock()
 			return next(ctx, p)
 		}
@@ -169,8 +170,15 @@ func TestUseBeforeTraceAndMetricsAnchors(t *testing.T) {
 	if beforeTrace != "" {
 		t.Errorf("stage before trace anchor saw trace %q, want unset", beforeTrace)
 	}
-	if beforeMetrics != "anchor-check" {
-		t.Errorf("stage before metrics anchor saw trace %q, want anchor-check", beforeMetrics)
+	if beforeShed != "anchor-check" {
+		t.Errorf("stage before shed anchor saw trace %q, want anchor-check", beforeShed)
+	}
+	for _, gone := range []string{"metrics", "stats"} {
+		err := s.UseBefore(gone, func(next Handler) Handler { return next })
+		const want = "(anchors: recover, trace, shed, auth, deadline, acl)"
+		if err == nil || !strings.Contains(err.Error(), "unknown interceptor anchor") || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("UseBefore(%q) = %v, want unknown-anchor error ending %s", gone, err, want)
+		}
 	}
 }
 
@@ -336,8 +344,8 @@ func TestSystemHealthAndStatsLatency(t *testing.T) {
 var errTest = &rpc.Fault{Code: rpc.CodeInternal, Message: "boom"}
 
 // BenchmarkTelemetryStages measures the added per-dispatch cost of the
-// trace + metrics stages composed over a no-op terminal handler, with
-// request logging off (the default) — the acceptance budget is 500 ns.
+// observing stage composed over a no-op terminal handler, with request
+// logging off (the default) — the acceptance budget is 500 ns.
 func BenchmarkTelemetryStages(b *testing.B) {
 	s, err := NewServer(Config{})
 	if err != nil {
@@ -345,7 +353,7 @@ func BenchmarkTelemetryStages(b *testing.B) {
 	}
 	defer s.Close()
 	terminal := Handler(func(ctx *Context, p Params) (any, error) { return nil, nil })
-	h := s.traceInterceptor(s.metricsInterceptor(terminal))
+	h := s.observeInterceptor(terminal)
 	ctx := &Context{Context: context.Background(), methodName: "bench.noop", srv: s}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -16,7 +16,8 @@
 // Execution is delegated to an Executor — in the assembled server, the
 // shell service's sandbox interpreter — and terminal transitions are
 // announced to the owner through the store-and-forward messaging service
-// and to the monitoring network as MonALISA queue/throughput gauges.
+// and to the monitoring network as clarens.job.* gauges on the server's
+// telemetry registry.
 package jobsvc
 
 import (
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"clarens/internal/core"
-	"clarens/internal/monalisa"
 	"clarens/internal/pki"
 	"clarens/internal/pubsub"
 	"clarens/internal/rpc"
@@ -156,12 +156,6 @@ type Notifier interface {
 	Send(from, to pki.DN, subject, body string) (string, error)
 }
 
-// MetricsPublisher receives queue gauges (implemented by
-// monalisa.Publisher).
-type MetricsPublisher interface {
-	Publish(rec *monalisa.Record) error
-}
-
 // Config tunes the scheduler.
 type Config struct {
 	// Workers sizes the worker pool (default 4).
@@ -199,8 +193,6 @@ type Config struct {
 	ArtifactRetention time.Duration
 	// GCInterval is the retention sweep period (default 1m).
 	GCInterval time.Duration
-	// MetricsInterval is the gauge publication period (default 2s).
-	MetricsInterval time.Duration
 	// MaxQueuedPerOwner bounds the number of one owner's jobs sitting in
 	// the queue, so a single tenant cannot fill MaxQueue and wedge the
 	// federation pressure signal for everyone else. Default (0) is
@@ -214,9 +206,10 @@ type Config struct {
 	// AgeStep is the priority increment per elapsed AgeInterval
 	// (default 1).
 	AgeStep int
-	// Telemetry, when set, receives job lifecycle latency histograms:
-	// queue wait (submitted→started), run duration (started→finished),
-	// and per-attempt output staging time.
+	// Telemetry, when set, receives the clarens.job.* gauges (queue
+	// depth, outcome counts, throughput) and the job lifecycle latency
+	// histograms: queue wait (submitted→started), run duration
+	// (started→finished), and per-attempt output staging time.
 	Telemetry *telemetry.Registry
 	// Events, when set, receives one structured log entry per job state
 	// transition (queued, running, done/failed/cancelled) carrying the
@@ -254,9 +247,6 @@ func (c *Config) fill() {
 	}
 	if c.GCInterval <= 0 {
 		c.GCInterval = time.Minute
-	}
-	if c.MetricsInterval <= 0 {
-		c.MetricsInterval = 2 * time.Second
 	}
 	if c.MaxQueuedPerOwner == 0 {
 		c.MaxQueuedPerOwner = c.MaxQueue / 4
@@ -321,10 +311,8 @@ type Service struct {
 	cfg     Config
 	exec    Executor
 	notify  Notifier
-	metrics MetricsPublisher
 	stager  ArtifactStager
 	collect Collector
-	name    string // server name, used as the gauge farm
 
 	mu            sync.Mutex
 	cond          *sync.Cond
@@ -353,9 +341,8 @@ type Service struct {
 }
 
 // New builds the scheduler, recovers the durable job table from the
-// server's store, and starts the worker pool. serverName labels monitoring
-// gauges; notify and metrics may be nil.
-func New(srv *core.Server, cfg Config, exec Executor, notify Notifier, metrics MetricsPublisher, serverName string) (*Service, error) {
+// server's store, and starts the worker pool. notify may be nil.
+func New(srv *core.Server, cfg Config, exec Executor, notify Notifier) (*Service, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("jobsvc: nil executor")
 	}
@@ -365,10 +352,8 @@ func New(srv *core.Server, cfg Config, exec Executor, notify Notifier, metrics M
 		cfg:          cfg,
 		exec:         exec,
 		notify:       notify,
-		metrics:      metrics,
 		stager:       cfg.Artifacts,
 		collect:      cfg.Collector,
-		name:         serverName,
 		ownerRunning: make(map[string]int),
 		ownerQueued:  make(map[string]int),
 		events:       cfg.Events,
@@ -382,6 +367,23 @@ func New(srv *core.Server, cfg Config, exec Executor, notify Notifier, metrics M
 			"Wall-clock duration of terminal jobs, claim to finish.")
 		s.stageHist = cfg.Telemetry.Histogram("clarens.job.stage_seconds",
 			"Per-attempt output finalization and artifact staging time.")
+		for _, g := range []struct {
+			name, help string
+			value      func(Snapshot) float64
+		}{
+			{"queued", "jobs waiting in the local queue", func(sn Snapshot) float64 { return float64(sn.Queued) }},
+			{"running", "jobs currently executing", func(sn Snapshot) float64 { return float64(sn.Running) }},
+			{"remote", "jobs forwarded to peers, awaiting pull-back", func(sn Snapshot) float64 { return float64(sn.Remote) }},
+			{"done", "jobs completed successfully", func(sn Snapshot) float64 { return float64(sn.Done) }},
+			{"failed", "jobs that exhausted retries", func(sn Snapshot) float64 { return float64(sn.Failed) }},
+			{"cancelled", "jobs cancelled by their owner or an admin", func(sn Snapshot) float64 { return float64(sn.Cancelled) }},
+			{"workers", "size of the worker pool", func(sn Snapshot) float64 { return float64(sn.Workers) }},
+			{"throughput", "terminal jobs per second of uptime", Snapshot.Throughput},
+			{"artifact_bytes", "cumulative bytes staged into artifact trees", func(sn Snapshot) float64 { return float64(sn.ArtifactBytes) }},
+			{"artifact_gc", "artifact trees garbage-collected", func(sn Snapshot) float64 { return float64(sn.ArtifactGC) }},
+		} {
+			cfg.Telemetry.RegisterGauge("clarens.job."+g.name, g.help, func() float64 { return g.value(s.Stats()) })
+		}
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.recover(); err != nil {
@@ -391,10 +393,6 @@ func New(srv *core.Server, cfg Config, exec Executor, notify Notifier, metrics M
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	if metrics != nil {
-		s.wg.Add(1)
-		go s.metricsLoop()
 	}
 	if cfg.AgeInterval > 0 {
 		s.wg.Add(1)
@@ -1425,50 +1423,6 @@ func (s *Service) Stats() Snapshot {
 		ArtifactBytes: s.artifactBytes,
 		ArtifactGC:    s.artifactGC,
 	}
-}
-
-// metricsLoop publishes queue gauges until Stop.
-func (s *Service) metricsLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.MetricsInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			s.publishGauges()
-			return
-		case <-t.C:
-			s.publishGauges()
-		}
-	}
-}
-
-func (s *Service) publishGauges() {
-	sn := s.Stats()
-	// Parameter keys follow the unified clarens.<subsystem>.<name> scheme
-	// shared by every publishing subsystem (the bare legacy aliases were
-	// dropped after their one-release grace period).
-	params := make(map[string]float64, 10)
-	for name, v := range map[string]float64{
-		"queued":         float64(sn.Queued),
-		"running":        float64(sn.Running),
-		"remote":         float64(sn.Remote),
-		"done":           float64(sn.Done),
-		"failed":         float64(sn.Failed),
-		"cancelled":      float64(sn.Cancelled),
-		"workers":        float64(sn.Workers),
-		"throughput":     sn.Throughput(),
-		"artifact_bytes": float64(sn.ArtifactBytes),
-		"artifact_gc":    float64(sn.ArtifactGC),
-	} {
-		params["clarens.job."+name] = v
-	}
-	s.metrics.Publish(&monalisa.Record{
-		Farm:    s.name,
-		Cluster: "jobs",
-		Node:    "scheduler",
-		Params:  params,
-	})
 }
 
 // --- RPC surface ---

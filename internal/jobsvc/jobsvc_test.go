@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"clarens/internal/core"
-	"clarens/internal/monalisa"
 	"clarens/internal/pki"
 )
 
@@ -48,7 +47,7 @@ func echoExec(owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatu
 
 func newService(t *testing.T, srv *core.Server, cfg Config, exec Executor) *Service {
 	t.Helper()
-	s, err := New(srv, cfg, exec, nil, nil, "test")
+	s, err := New(srv, cfg, exec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +438,7 @@ func TestRecoveryNotifiesTerminalTransitions(t *testing.T) {
 
 	srv2 := testServer(t, dir)
 	rec := &notifyRecorder{}
-	s, err := New(srv2, Config{Workers: 1}, echoExec, rec, nil, "test")
+	s, err := New(srv2, Config{Workers: 1}, echoExec, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +478,7 @@ func (n *notifyRecorder) Send(from, to pki.DN, subject, body string) (string, er
 func TestTerminalNotifications(t *testing.T) {
 	srv := testServer(t, "")
 	rec := &notifyRecorder{}
-	s, err := New(srv, Config{Workers: 1}, echoExec, rec, nil, "test")
+	s, err := New(srv, Config{Workers: 1}, echoExec, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,45 +499,22 @@ func TestTerminalNotifications(t *testing.T) {
 	}
 }
 
-// gaugeRecorder captures monitoring records.
-type gaugeRecorder struct {
-	mu   sync.Mutex
-	recs []map[string]float64
-}
-
-func (g *gaugeRecorder) Publish(rec *monalisa.Record) error {
-	g.mu.Lock()
-	g.recs = append(g.recs, rec.Params)
-	g.mu.Unlock()
-	return nil
-}
-
-func TestMetricsGauges(t *testing.T) {
+// The scheduler's gauges live on the telemetry registry it is handed —
+// the one feed /metrics and PublishTelemetry read.
+func TestRegistryGauges(t *testing.T) {
 	srv := testServer(t, "")
-	g := &gaugeRecorder{}
-	s, err := New(srv, Config{Workers: 1, MetricsInterval: 5 * time.Millisecond}, echoExec, nil, g, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newService(t, srv, Config{Workers: 1, Telemetry: srv.Telemetry()}, echoExec)
 	j, _ := s.Submit(alice, "echo gauge", 0, 0)
 	s.Wait(j.ID, 5*time.Second)
-	waitFor(t, func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		for _, p := range g.recs {
-			if p["clarens.job.done"] == 1 {
-				return true
-			}
+	waitFor(t, func() bool { return srv.Telemetry().GaugeValues()["clarens.job.done"] == 1 })
+	g := srv.Telemetry().GaugeValues()
+	if g["clarens.job.workers"] != 1 || g["clarens.job.throughput"] <= 0 || g["clarens.job.queued"] != 0 {
+		t.Errorf("gauges = %v", g)
+	}
+	for _, name := range []string{"running", "remote", "failed", "cancelled", "artifact_bytes", "artifact_gc"} {
+		if v, ok := g["clarens.job."+name]; !ok || v != 0 {
+			t.Errorf("clarens.job.%s = %v (registered: %v), want 0", name, v, ok)
 		}
-		return false
-	})
-	s.Stop()
-	// Stop publishes one final gauge snapshot.
-	g.mu.Lock()
-	last := g.recs[len(g.recs)-1]
-	g.mu.Unlock()
-	if last["clarens.job.done"] != 1 || last["clarens.job.workers"] != 1 || last["clarens.job.throughput"] <= 0 {
-		t.Errorf("final gauges = %v", last)
 	}
 }
 

@@ -147,7 +147,7 @@ func newHarnessJobs(t *testing.T, cfg Config, jcfg jobsvc.Config, dialErr map[st
 		io.WriteString(stdout, "local:"+command)
 		return jobsvc.ExecStatus{}, nil
 	}
-	h.jobs, err = jobsvc.New(srv, jcfg, exec, nil, nil, "local")
+	h.jobs, err = jobsvc.New(srv, jcfg, exec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

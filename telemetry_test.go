@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"clarens/internal/jobsvc"
+	"clarens/internal/pubsub"
 )
 
 // syncLogBuffer collects slog output from server goroutines.
@@ -227,5 +228,43 @@ func TestPublishTelemetryReachesStation(t *testing.T) {
 			t.Fatal("gauge record never reached the station")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPublishTelemetryReachesBus verifies the push-bus leg of the one
+// monitoring feed: with no station configured, a forced publish still
+// delivers the RPC-aggregate record and the gauge record — job gauges
+// included — to monalisa.record subscribers.
+func TestPublishTelemetryReachesBus(t *testing.T) {
+	cfg := fullConfig(t)
+	cfg.LocalStation = ""
+	cfg.EnableJobs = true
+	cfg.JobWorkers = 3
+	cfg.TelemetryInterval = -1 // publish manually below
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sub := srv.Events().Subscribe("test", func(ev *pubsub.Event) bool { return ev.Type == EventMonALISA }, 0)
+	if err := srv.PublishTelemetry(); err != nil {
+		t.Fatal(err)
+	}
+	sub.Cancel()
+	nodes := map[string]map[string]any{}
+	for ev := range sub.Events() {
+		if ev.Tags["farm"] != "testsrv" || ev.Tags["cluster"] != "telemetry" || nodes[ev.Tags["node"]] != nil {
+			t.Errorf("unexpected or repeated record: %v", ev.Tags)
+		}
+		nodes[ev.Tags["node"]] = ev.Data
+	}
+	if len(nodes) != 2 || nodes["rpc"] == nil || nodes["gauges"] == nil {
+		t.Fatalf("records = %v, want one rpc and one gauges", nodes)
+	}
+	if _, ok := nodes["rpc"]["clarens.rpc.requests"]; !ok {
+		t.Errorf("rpc record = %v", nodes["rpc"])
+	}
+	if g := nodes["gauges"]; g["clarens.job.queued"] != 0.0 || g["clarens.job.workers"] != 3.0 {
+		t.Errorf("gauges record: queued=%v workers=%v, want 0 and 3", g["clarens.job.queued"], g["clarens.job.workers"])
 	}
 }
