@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"crypto/md5"
 	"encoding/hex"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -428,5 +431,33 @@ func TestPersistentServerRestart(t *testing.T) {
 	}
 	if !found {
 		t.Error("VO group lost across restart")
+	}
+}
+
+// spaces is an endless stream of ' ' bytes.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// A reply larger than rpc.MaxBodyBytes is an explicit error, not a
+// silently truncated body handed to the codec.
+func TestResponseOverLimitIsAnError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/xml")
+		io.Copy(w, io.LimitReader(spaces{}, rpc.MaxBodyBytes+1))
+	}))
+	defer srv.Close()
+	c, err := Dial(srv.URL, WithRetry(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Call("system.ping"); err == nil || !strings.Contains(err.Error(), "response exceeds 64 MiB") {
+		t.Fatalf("err = %v", err)
 	}
 }

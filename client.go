@@ -564,9 +564,12 @@ func (c *Client) callOnce(ctx context.Context, method string, params ...any) (an
 		return nil, fmt.Errorf("clarens: %s: %w", method, err)
 	}
 	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(httpResp.Body, rpc.MaxBodyBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("clarens: read response: %w", err)
+	}
+	if len(body) > rpc.MaxBodyBytes {
+		return nil, fmt.Errorf("clarens: %s: response exceeds %d MiB", method, rpc.MaxBodyBytes>>20)
 	}
 	if httpResp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("clarens: %s: HTTP %d: %s", method, httpResp.StatusCode, truncate(body, 200))

@@ -570,6 +570,9 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	}
 	s.conns.request(r)
 	codec := s.codecFor(r)
+	// Bounded before any codec reads a byte: an oversized body is a parse
+	// fault like any other undecodable one.
+	r.Body = http.MaxBytesReader(w, r.Body, rpc.MaxBodyBytes)
 	req, err := codec.DecodeRequest(r.Body)
 	if err != nil {
 		fault, ok := err.(*rpc.Fault)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -144,6 +145,39 @@ func TestParseErrorProducesFault(t *testing.T) {
 	}
 	if resp.Fault == nil || resp.Fault.Code != rpc.CodeParse {
 		t.Errorf("fault = %+v", resp.Fault)
+	}
+}
+
+// spaces is an endless stream of ' ' bytes.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// A body over rpc.MaxBodyBytes is a parse fault even when it would
+// decode: here a valid call padded with whitespace one byte past the
+// limit.
+func TestOversizedBodyIsParseFault(t *testing.T) {
+	s := newTestServer(t)
+	ping := `<methodCall><methodName>system.ping</methodName></methodCall>`
+	body := io.MultiReader(strings.NewReader(ping), io.LimitReader(spaces{}, rpc.MaxBodyBytes+1-int64(len(ping))))
+	req := httptest.NewRequest(http.MethodPost, "/rpc", body)
+	req.Header.Set("Content-Type", "text/xml")
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	resp, err := xmlrpc.New().DecodeResponse(w.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Fault == nil || resp.Fault.Code != rpc.CodeParse {
+		t.Errorf("fault = %+v", resp.Fault)
+	}
+	if _, _, byMethod := s.Stats().Snapshot(); byMethod["(parse-error)"] != 1 {
+		t.Errorf("byMethod = %v", byMethod)
 	}
 }
 

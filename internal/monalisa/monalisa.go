@@ -140,21 +140,19 @@ func (st *Station) Ingest(rec *Record) {
 	}
 	stored := *rec
 	st.records[rec.Key()] = &stored
-	var notify []*subscriber
+	// Send under the lock: Close and a subscription's cancel close the
+	// channel under it, so a send outside could hit a closed channel.
 	for _, sub := range st.subs {
 		if sub.filter == nil || sub.filter(rec) {
-			notify = append(notify, sub)
+			select {
+			case sub.ch <- *rec:
+			default: // slow subscriber: drop rather than block the station
+			}
 		}
 	}
 	peers := append([]*net.UDPAddr(nil), st.peers...)
 	st.mu.Unlock()
 
-	for _, sub := range notify {
-		select {
-		case sub.ch <- *rec:
-		default: // slow subscriber: drop rather than block the station
-		}
-	}
 	if rec.Hops < MaxHops && len(peers) > 0 {
 		fwd := *rec
 		fwd.Hops++

@@ -2,6 +2,7 @@ package monalisa
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -99,6 +100,44 @@ func TestSubscription(t *testing.T) {
 		if _, ok := <-ch; ok {
 			t.Error("channel not closed after cancel")
 		}
+	}
+}
+
+// TestStationIngestRacesCloseAndCancel runs Ingest against Close and
+// subscription cancels: a send on a channel they closed would panic.
+func TestStationIngestRacesCloseAndCancel(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		st, err := NewStation("race", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cancels []func()
+		for i := 0; i < 4; i++ {
+			_, cancel := st.Subscribe(nil)
+			cancels = append(cancels, cancel)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 200; j++ {
+					st.Ingest(&Record{Farm: "f", Node: fmt.Sprint(j)})
+				}
+			}()
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for _, cancel := range cancels {
+				cancel()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			st.Close()
+		}()
+		wg.Wait()
 	}
 }
 

@@ -66,6 +66,15 @@ const (
 	CodeApplication = -32500
 )
 
+// Input bounds on untrusted bytes, the same for every codec and both
+// ends of the wire.
+const (
+	// MaxBodyBytes is the largest request or response body read.
+	MaxBodyBytes = 64 << 20
+	// MaxDepth is the deepest element nesting an XML decoder accepts.
+	MaxDepth = 512
+)
+
 // Retryable reports whether a fault code indicates a request that never
 // executed and is therefore safe to retry on any method.
 func Retryable(code int) bool { return code == CodeOverloaded }

@@ -196,8 +196,12 @@ type element struct {
 	children []*element
 }
 
-// parseElement builds a lightweight DOM below the given start element.
-func parseElement(d *xml.Decoder, se xml.StartElement) (*element, error) {
+// parseElement builds a lightweight DOM below the given start element,
+// which is depth elements down from the document root.
+func parseElement(d *xml.Decoder, se xml.StartElement, depth int) (*element, error) {
+	if depth > rpc.MaxDepth {
+		return nil, fmt.Errorf("soaprpc: elements nested deeper than %d", rpc.MaxDepth)
+	}
 	el := &element{name: se.Name.Local, attrs: map[string]string{}}
 	for _, a := range se.Attr {
 		el.attrs[a.Name.Local] = a.Value
@@ -211,7 +215,7 @@ func parseElement(d *xml.Decoder, se xml.StartElement) (*element, error) {
 		case xml.CharData:
 			el.text += string(t)
 		case xml.StartElement:
-			child, err := parseElement(d, t)
+			child, err := parseElement(d, t, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -353,7 +357,7 @@ func parseEnvelope(r io.Reader) (*element, error) {
 			return nil, err
 		}
 		if se, ok := tok.(xml.StartElement); ok {
-			return parseElement(d, se)
+			return parseElement(d, se, 3) // Envelope, Body, se
 		}
 		if _, ok := tok.(xml.EndElement); ok {
 			return nil, fmt.Errorf("soaprpc: empty Body")

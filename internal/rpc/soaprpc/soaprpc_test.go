@@ -164,3 +164,17 @@ func TestMissingReturnRejected(t *testing.T) {
 		t.Error("response without return element must be rejected")
 	}
 }
+
+func TestDepthCap(t *testing.T) {
+	doc := func(depth int) string {
+		k := depth - 3 // Envelope, Body and the call element
+		return `<Envelope><Body><m>` + strings.Repeat("<a>", k) + strings.Repeat("</a>", k) + `</m></Body></Envelope>`
+	}
+	if _, err := New().DecodeRequest(strings.NewReader(doc(rpc.MaxDepth))); err != nil {
+		t.Fatalf("depth %d: %v", rpc.MaxDepth, err)
+	}
+	_, err := New().DecodeRequest(strings.NewReader(doc(rpc.MaxDepth + 1)))
+	if f, ok := err.(*rpc.Fault); !ok || f.Code != rpc.CodeParse {
+		t.Fatalf("depth %d: error = %v, want a CodeParse fault", rpc.MaxDepth+1, err)
+	}
+}
