@@ -4,8 +4,13 @@
 // service calls, for which the JSON-RPC binding was designed).
 //
 // Both JSON-RPC 1.0 (as used by the metaparadigm jsonrpc library the paper
-// cites) and JSON-RPC 2.0 framing are accepted; responses mirror the
-// version of the request.
+// cites) and JSON-RPC 2.0 framing are accepted; requests and responses are
+// always written in 2.0 framing.
+//
+// Each direction makes one pass: one encoding/json decode converted in
+// place, and an encoder appending the previous encoder's exact bytes.
+// The accepted language and canonical form are the README's JSON-RPC
+// contract.
 package jsonrpc
 
 import (
@@ -15,8 +20,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
+	"unicode/utf8"
 
 	"clarens/internal/rpc"
 )
@@ -45,82 +53,201 @@ const (
 	timeKey   = "__jsonclass_datetime__"
 )
 
-func toJSONValue(v any) (any, error) {
+// encode runs body against w itself when w is a *bytes.Buffer (the
+// server encodes responses into pooled buffers), else against a staging
+// buffer written out whole. Either way w receives nothing if body fails.
+func encode(w io.Writer, body func(*bytes.Buffer) error) error {
+	b, direct := w.(*bytes.Buffer)
+	if !direct {
+		b = new(bytes.Buffer)
+	}
+	start := b.Len()
+	if err := body(b); err != nil {
+		b.Truncate(start)
+		return err
+	}
+	b.WriteString("}\n")
+	if direct {
+		return nil
+	}
+	_, err := w.Write(b.Bytes())
+	return err
+}
+
+// writeValue writes v as encoding/json wrote the tree the previous
+// encoder built for it. The leaves whose form takes rules, non-integral
+// doubles (the ES6 format) and strings that need escaping, are written by
+// json.Marshal itself.
+func writeValue(b *bytes.Buffer, v any) error {
 	switch x := v.(type) {
-	case nil, bool, string:
-		return x, nil
+	case nil:
+		b.WriteString("null")
+	case bool:
+		b.WriteString(strconv.FormatBool(x))
 	case int:
-		return x, nil
+		b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(x), 10))
 	case float64:
-		// JSON cannot distinguish 3.0 from 3; force a decimal point so the
-		// decoder restores float64 rather than int.
-		if x == math.Trunc(x) && !math.IsInf(x, 0) && !math.IsNaN(x) {
-			return json.Number(strconv.FormatFloat(x, 'f', 1, 64)), nil
+		if x != math.Trunc(x) || math.IsInf(x, 0) {
+			return marshal(b, x)
 		}
-		return x, nil
+		// JSON cannot tell 3.0 from 3: the point is what makes the decoder
+		// restore a float64 rather than an int.
+		b.Write(strconv.AppendFloat(b.AvailableBuffer(), x, 'f', 1, 64))
+	case string:
+		writeString(b, x)
 	case []byte:
-		return map[string]any{base64Key: base64.StdEncoding.EncodeToString(x)}, nil
+		b.WriteString(`{"` + base64Key + `":"`)
+		b.Write(base64.StdEncoding.AppendEncode(b.AvailableBuffer(), x))
+		b.WriteString(`"}`)
 	case time.Time:
-		return map[string]any{timeKey: x.UTC().Format(time.RFC3339Nano)}, nil
+		b.WriteString(`{"` + timeKey + `":"`)
+		b.Write(x.UTC().AppendFormat(b.AvailableBuffer(), time.RFC3339Nano))
+		b.WriteString(`"}`)
 	case []any:
-		out := make([]any, len(x))
+		b.WriteByte('[')
 		for i, e := range x {
-			j, err := toJSONValue(e)
-			if err != nil {
-				return nil, err
+			if i > 0 {
+				b.WriteByte(',')
 			}
-			out[i] = j
+			if err := writeValue(b, e); err != nil {
+				return err
+			}
 		}
-		return out, nil
+		b.WriteByte(']')
 	case map[string]any:
-		out := make(map[string]any, len(x))
-		for k, e := range x {
-			j, err := toJSONValue(e)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = j
+		var small [8]string
+		keys := small[:0]
+		for k := range x {
+			keys = append(keys, k)
 		}
-		return out, nil
+		slices.Sort(keys)
+		b.WriteByte('{')
+		for i, k := range keys {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			writeString(b, k)
+			b.WriteByte(':')
+			if err := writeValue(b, x[k]); err != nil {
+				return err
+			}
+		}
+		b.WriteByte('}')
 	default:
 		n, err := rpc.Normalize(v)
 		if err != nil {
-			return nil, fmt.Errorf("jsonrpc: %w", err)
+			return fmt.Errorf("jsonrpc: %w", err)
 		}
-		return toJSONValue(n)
+		return writeValue(b, n)
 	}
+	return nil
 }
 
-func fromJSONValue(v any) (any, error) {
+// writeString writes s quoted: as is when it holds only ASCII that
+// encoding/json leaves unescaped, else as json.Marshal escapes it.
+func writeString(b *bytes.Buffer, s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			raw, _ := json.Marshal(s) // a string always marshals
+			b.Write(raw)
+			return
+		}
+	}
+	b.WriteByte('"')
+	b.WriteString(s)
+	b.WriteByte('"')
+}
+
+// marshal writes v as json.Marshal does: a leaf writeValue hands on, or
+// an ID, which a server echoes as decoded (a json.Number normalizeID
+// kept, an object) and so may be any JSON value.
+func marshal(b *bytes.Buffer, v any) error {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("jsonrpc: %w", err)
+	}
+	b.Write(raw)
+	return nil
+}
+
+// EncodeRequest implements rpc.Codec. A request without an ID is sent
+// with ID 1, as the portal page sends every call.
+func (*Codec) EncodeRequest(w io.Writer, req *rpc.Request) error {
+	return encode(w, func(b *bytes.Buffer) error {
+		b.WriteString(`{"jsonrpc":"2.0","method":`)
+		writeString(b, req.Method)
+		b.WriteString(`,"params":`)
+		if err := writeValue(b, req.Params); err != nil {
+			return err
+		}
+		b.WriteString(`,"id":`)
+		if req.ID == nil {
+			return marshal(b, 1)
+		}
+		return marshal(b, req.ID)
+	})
+}
+
+// EncodeResponse implements rpc.Codec.
+func (*Codec) EncodeResponse(w io.Writer, resp *rpc.Response) error {
+	return encode(w, func(b *bytes.Buffer) error {
+		if f := resp.Fault; f != nil {
+			b.WriteString(`{"jsonrpc":"2.0","error":{"code":`)
+			b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(f.Code), 10))
+			b.WriteString(`,"message":`)
+			writeString(b, f.Message)
+			b.WriteByte('}')
+		} else {
+			b.WriteString(`{"jsonrpc":"2.0","result":`)
+			if err := writeValue(b, resp.Result); err != nil {
+				return err
+			}
+		}
+		b.WriteString(`,"id":`)
+		return marshal(b, resp.ID)
+	})
+}
+
+// wireRequest and wireResponse are the envelopes the one decode fills from the
+// first JSON value of a body; nothing after it is read. Members match
+// case-insensitively and a repeated member keeps its last value; one of
+// the wrong type fails the decode, which is why Version is kept though
+// never read. Params and Result are any so the whole document decodes
+// before their shape is checked.
+type wireRequest struct {
+	Version string `json:"jsonrpc"`
+	Method  string `json:"method"`
+	Params  any    `json:"params"`
+	ID      any    `json:"id"`
+}
+
+type wireResponse struct {
+	Version string     `json:"jsonrpc"`
+	Result  any        `json:"result"`
+	Error   *wireError `json:"error"`
+	ID      any        `json:"id"`
+}
+
+type wireError struct {
+	Code    int    `json:"code"`
+	Message string `json:"message"`
+}
+
+// fromJSON converts a tree the decoder has just built to the value model
+// in place: json.Number leaves become int or float64 and the sentinel
+// objects []byte and time.Time. Every other node is kept as decoded.
+func fromJSON(v any) (any, error) {
 	switch x := v.(type) {
-	case nil, bool, string:
-		return x, nil
 	case json.Number:
-		// Integers decode to int; everything else to float64.
-		if i, err := x.Int64(); err == nil && !bytes.ContainsAny([]byte(x.String()), ".eE") {
-			return int(i), nil
-		}
-		f, err := x.Float64()
-		if err != nil {
-			return nil, fmt.Errorf("jsonrpc: bad number %q", x.String())
-		}
-		return f, nil
-	case float64:
-		// Reached only when the decoder was not Number-configured.
-		if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
-			return int(x), nil
-		}
-		return x, nil
+		return number(x)
 	case []any:
-		out := make([]any, len(x))
 		for i, e := range x {
-			g, err := fromJSONValue(e)
+			g, err := fromJSON(e)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = g
+			x[i] = g
 		}
-		return out, nil
 	case map[string]any:
 		if len(x) == 1 {
 			if s, ok := x[base64Key].(string); ok {
@@ -138,63 +265,41 @@ func fromJSONValue(v any) (any, error) {
 				return t.UTC(), nil
 			}
 		}
-		out := make(map[string]any, len(x))
 		for k, e := range x {
-			g, err := fromJSONValue(e)
-			if err != nil {
-				return nil, err
+			switch e.(type) { // only these can change; a store costs a hash
+			case json.Number, []any, map[string]any:
+				g, err := fromJSON(e)
+				if err != nil {
+					return nil, err
+				}
+				x[k] = g
 			}
-			out[k] = g
 		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("jsonrpc: unexpected decoded type %T", v)
 	}
+	return v, nil
 }
 
-type wireRequest struct {
-	Version string          `json:"jsonrpc,omitempty"`
-	Method  string          `json:"method"`
-	Params  json.RawMessage `json:"params"`
-	ID      any             `json:"id"`
-}
-
-type wireError struct {
-	Code    int    `json:"code"`
-	Message string `json:"message"`
-}
-
-type wireResponse struct {
-	Version string          `json:"jsonrpc,omitempty"`
-	Result  json.RawMessage `json:"result,omitempty"`
-	Error   *wireError      `json:"error,omitempty"`
-	ID      any             `json:"id"`
-}
-
-// EncodeRequest implements rpc.Codec. Requests are emitted in 2.0 framing.
-func (*Codec) EncodeRequest(w io.Writer, req *rpc.Request) error {
-	params := make([]any, len(req.Params))
-	for i, p := range req.Params {
-		jp, err := toJSONValue(p)
-		if err != nil {
-			return err
+// number is the integer-versus-double rule: a literal without '.', 'e'
+// or 'E' that fits 64 bits is an int, any other a float64, and one
+// beyond float64's range an error.
+func number(n json.Number) (any, error) {
+	s := string(n)
+	if !strings.ContainsAny(s, ".eE") {
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return int(i), nil
 		}
-		params[i] = jp
 	}
-	rawParams, err := json.Marshal(params)
+	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		return fmt.Errorf("jsonrpc: marshal params: %w", err)
+		return nil, fmt.Errorf("jsonrpc: bad number %q", s)
 	}
-	id := req.ID
-	if id == nil {
-		id = 1
-	}
-	return json.NewEncoder(w).Encode(wireRequest{
-		Version: "2.0", Method: req.Method, Params: rawParams, ID: id,
-	})
+	return f, nil
 }
 
-// DecodeRequest implements rpc.Codec.
+// DecodeRequest implements rpc.Codec. A document encoding/json refuses,
+// or whose members have the wrong types, is a CodeParse fault; one
+// without a method CodeInvalidRequest; params that are not an array, or
+// hold a bad number or sentinel, CodeInvalidParams.
 func (*Codec) DecodeRequest(r io.Reader) (*rpc.Request, error) {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
@@ -206,24 +311,21 @@ func (*Codec) DecodeRequest(r io.Reader) (*rpc.Request, error) {
 		return nil, &rpc.Fault{Code: rpc.CodeInvalidRequest, Message: "missing method"}
 	}
 	req := &rpc.Request{Method: wire.Method, ID: normalizeID(wire.ID)}
-	if len(wire.Params) > 0 {
-		var rawList []json.RawMessage
-		if err := json.Unmarshal(wire.Params, &rawList); err != nil {
-			return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: "params must be an array"}
-		}
-		for i, raw := range rawList {
-			pd := json.NewDecoder(bytes.NewReader(raw))
-			pd.UseNumber()
-			var v any
-			if err := pd.Decode(&v); err != nil {
-				return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: err.Error()}
-			}
-			g, err := fromJSONValue(v)
+	switch params := wire.Params.(type) {
+	case nil:
+	case []any:
+		for i, p := range params {
+			g, err := fromJSON(p)
 			if err != nil {
 				return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("param %d: %v", i, err)}
 			}
-			req.Params = append(req.Params, g)
+			params[i] = g
 		}
+		if len(params) > 0 {
+			req.Params = params
+		}
+	default:
+		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: "params must be an array"}
 	}
 	return req, nil
 }
@@ -241,26 +343,9 @@ func normalizeID(id any) any {
 	return id
 }
 
-// EncodeResponse implements rpc.Codec.
-func (*Codec) EncodeResponse(w io.Writer, resp *rpc.Response) error {
-	wire := wireResponse{Version: "2.0", ID: resp.ID}
-	if resp.Fault != nil {
-		wire.Error = &wireError{Code: resp.Fault.Code, Message: resp.Fault.Message}
-	} else {
-		jv, err := toJSONValue(resp.Result)
-		if err != nil {
-			return err
-		}
-		raw, err := json.Marshal(jv)
-		if err != nil {
-			return fmt.Errorf("jsonrpc: marshal result: %w", err)
-		}
-		wire.Result = raw
-	}
-	return json.NewEncoder(w).Encode(wire)
-}
-
-// DecodeResponse implements rpc.Codec.
+// DecodeResponse implements rpc.Codec. A malformed reply is a plain
+// error, not a fault, so a client does not mistake it for the server's
+// answer.
 func (*Codec) DecodeResponse(r io.Reader) (*rpc.Response, error) {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
@@ -273,19 +358,11 @@ func (*Codec) DecodeResponse(r io.Reader) (*rpc.Response, error) {
 		resp.Fault = &rpc.Fault{Code: wire.Error.Code, Message: wire.Error.Message}
 		return resp, nil
 	}
-	if len(wire.Result) > 0 {
-		rd := json.NewDecoder(bytes.NewReader(wire.Result))
-		rd.UseNumber()
-		var v any
-		if err := rd.Decode(&v); err != nil {
-			return nil, fmt.Errorf("jsonrpc: decode result: %w", err)
-		}
-		g, err := fromJSONValue(v)
-		if err != nil {
-			return nil, err
-		}
-		resp.Result = g
+	result, err := fromJSON(wire.Result)
+	if err != nil {
+		return nil, err
 	}
+	resp.Result = result
 	return resp, nil
 }
 

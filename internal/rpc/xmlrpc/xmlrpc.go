@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"regexp"
 	"strconv"
 	"sync"
 	"time"
@@ -303,12 +302,6 @@ var parserPool = sync.Pool{New: func() any { return new(parser) }}
 // one oversized body must not pin its buffer forever.
 const parserRetainLimit = 1 << 20
 
-// xmlDecl is the one XML declaration accepted: version 1.0, then
-// optionally UTF-8 and a standalone flag, in that order.
-var xmlDecl = regexp.MustCompile(`^<\?xml[ \t\r\n]+version=("1\.0"|'1\.0')` +
-	`([ \t\r\n]+encoding=("(?i:utf-8)"|'(?i:utf-8)'))?` +
-	`([ \t\r\n]+standalone=("(yes|no)"|'(yes|no)'))?[ \t\r\n]*\?>`)
-
 // parse reads r whole into a pooled buffer and runs doc over it: an
 // optional declaration, the document element, then only whitespace and
 // comments to the end.
@@ -318,11 +311,7 @@ func parse[T any](r io.Reader, doc func(*parser) T) (T, error) {
 	_, p.err = p.in.ReadFrom(r)
 	p.buf, p.pos, p.depth, p.empty = p.in.Bytes(), 0, 0, false
 	if p.peek("<?xml") {
-		if loc := xmlDecl.FindIndex(p.buf); loc != nil {
-			p.pos = loc[1]
-		} else {
-			p.fail("unsupported XML declaration")
-		}
+		p.decl()
 	}
 	v := doc(p)
 	p.misc()
@@ -335,6 +324,36 @@ func parse[T any](r io.Reader, doc func(*parser) T) (T, error) {
 		parserPool.Put(p)
 	}
 	return v, err
+}
+
+// decl reads the one XML declaration accepted: version 1.0, then
+// optionally UTF-8 (any case) and a standalone flag, in that order.
+func (p *parser) decl() {
+	p.eat("<?xml")
+	ok := p.declAttr("version=", false, "1.0")
+	p.declAttr("encoding=", true, "utf-8")
+	p.declAttr("standalone=", false, "yes", "no")
+	if p.space(); !ok || !p.eat("?>") {
+		p.fail("unsupported XML declaration")
+	}
+}
+
+// declAttr reads whitespace, then name and a value from vals in either
+// quote (in any ASCII case when fold is set), and reports whether it
+// did; when it did not, p.pos is left where it was.
+func (p *parser) declAttr(name string, fold bool, vals ...string) bool {
+	start := p.pos
+	if p.space(); p.pos > start && p.eat(name) && (p.eat(`"`) || p.eat(`'`)) {
+		v, _, found := bytes.Cut(p.buf[p.pos:], p.buf[p.pos-1:p.pos])
+		for _, want := range vals {
+			if found && (string(v) == want || fold && bytes.EqualFold(v, []byte(want))) {
+				p.pos += len(v) + 1
+				return true
+			}
+		}
+	}
+	p.pos = start
+	return false
 }
 
 // fail records the first error, at the current offset.
