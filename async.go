@@ -2,7 +2,6 @@ package clarens
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -98,47 +97,4 @@ func (c *Client) CallAsyncCtx(ctx context.Context, clients, totalCalls int, meth
 		Elapsed:  elapsed,
 		FirstErr: firstErr,
 	}
-}
-
-// SweepPoint is one row of a Figure 4-style sweep.
-type SweepPoint struct {
-	Clients int
-	AsyncResult
-}
-
-// SweepAsync runs the paper's measurement protocol: for each client count
-// in [minClients, maxClients] stepping by step, issue callsPerBatch calls
-// and record the rate. repeats > 1 re-runs each point and keeps the best
-// batch (the paper repeated the whole sweep "to verify the results").
-func (c *Client) SweepAsync(minClients, maxClients, step, callsPerBatch, repeats int, method string, params ...any) ([]SweepPoint, error) {
-	return c.SweepAsyncCtx(context.Background(), minClients, maxClients, step, callsPerBatch, repeats, method, params...)
-}
-
-// SweepAsyncCtx is SweepAsync bound to a context: cancellation aborts the
-// current batch and returns the points measured so far.
-func (c *Client) SweepAsyncCtx(ctx context.Context, minClients, maxClients, step, callsPerBatch, repeats int, method string, params ...any) ([]SweepPoint, error) {
-	if step < 1 {
-		step = 1
-	}
-	if repeats < 1 {
-		repeats = 1
-	}
-	var out []SweepPoint
-	for n := minClients; n <= maxClients; n += step {
-		best := AsyncResult{}
-		for r := 0; r < repeats; r++ {
-			if err := ctx.Err(); err != nil {
-				return out, fmt.Errorf("clarens: sweep at %d clients: %w", n, err)
-			}
-			res := c.CallAsyncCtx(ctx, n, callsPerBatch, method, params...)
-			if res.FirstErr != nil {
-				return out, fmt.Errorf("clarens: sweep at %d clients: %w", n, res.FirstErr)
-			}
-			if best.Elapsed == 0 || res.Rate() > best.Rate() {
-				best = res
-			}
-		}
-		out = append(out, SweepPoint{Clients: n, AsyncResult: best})
-	}
-	return out, nil
 }

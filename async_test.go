@@ -64,19 +64,3 @@ func TestCallAsyncCountsErrors(t *testing.T) {
 		t.Errorf("Rate() with all errors = %v, want 0", res.Rate())
 	}
 }
-
-func TestSweepAsync(t *testing.T) {
-	_, c := startFull(t)
-	points, err := c.SweepAsync(1, 3, 2, 4, 1, "system.ping")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 || points[0].Clients != 1 || points[1].Clients != 3 {
-		t.Fatalf("points = %+v", points)
-	}
-	for _, p := range points {
-		if p.Rate() <= 0 {
-			t.Errorf("clients=%d rate = %v, want > 0", p.Clients, p.Rate())
-		}
-	}
-}

@@ -1,18 +1,27 @@
-// Benchmarks regenerating the paper's evaluation (DESIGN.md §3 maps each
-// to its experiment ID). cmd/clarens-bench prints the paper-style tables;
-// these testing.B benches provide the per-operation view:
+// Benchmarks regenerating the paper's evaluation. The paper map, one
+// experiment ID per figure (E) or ablation (A):
 //
-//	E1 BenchmarkFigure4*      — the Figure 4 workload (system.list_methods
-//	                            through both access checks, >30 strings)
-//	E2 BenchmarkTLSOverhead*  — plaintext vs TLS transport
-//	E3 BenchmarkBaselineGT3*, BenchmarkClarensEcho — trivial-method rates
-//	E4 BenchmarkFileStreaming — sendfile GET path throughput
+//	E1 BenchmarkFigure4*      — Figure 4: system.list_methods through both
+//	                            access checks, >30 strings per reply;
+//	                            Network sweeps 1/8/32/79 async clients
+//	E2 BenchmarkTLSOverhead*  — §4 TLS table: plaintext vs TLS, keep-alive
+//	                            (Plain, Encrypted) vs reconnect per call
+//	                            (ReconnectPlain, Handshake)
+//	E3 BenchmarkClarensEcho, BenchmarkBaselineGT3* — §4 footnote and §5:
+//	                            trivial-method rate, Clarens vs the GT3-like
+//	                            container
+//	E4 BenchmarkFileStreaming — §1 SC2003 streaming: sendfile GET throughput
 //	A1 BenchmarkDispatchAuth  — cost of the session+ACL pipeline
 //	A2 BenchmarkProtocols     — XML-RPC vs JSON-RPC vs SOAP
 //	A3 BenchmarkACLDepth      — hierarchical ACL evaluation depth
 //	A4 BenchmarkVOMembership  — VO tree membership resolution
 //	A5 BenchmarkDiscovery     — local-cache discovery queries
 //	A6 BenchmarkSessions      — session create/lookup, memory vs disk
+//
+// The paper figures, E1–E4 (README "Paper figures" keeps the last
+// committed numbers):
+//
+//	go test -run '^$' -bench 'Figure4|TLSOverhead|ClarensEcho|BaselineGT3|FileStreaming' .
 package clarens
 
 import (
@@ -170,13 +179,14 @@ func BenchmarkTLSOverheadEncrypted(b *testing.B) {
 	}
 }
 
-// BenchmarkTLSOverheadHandshake measures the reconnect-per-call mode that
-// dominates the paper's informal "up to 50%" figure.
-func BenchmarkTLSOverheadHandshake(b *testing.B) {
-	srv, ca, user := benchTLSServer(b)
+// benchReconnect makes every call on a fresh client, so each one pays a
+// new connection (and, over TLS, a full handshake).
+func benchReconnect(b *testing.B, url string, opts ...ClientOption) {
+	b.Helper()
+	opts = append(opts, WithMaxConns(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := Dial(srv.URL(), WithRootCAs(ca.Pool()), WithIdentity(user), WithMaxConns(1))
+		c, err := Dial(url, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,6 +195,19 @@ func BenchmarkTLSOverheadHandshake(b *testing.B) {
 		}
 		c.Close()
 	}
+}
+
+// BenchmarkTLSOverheadReconnectPlain is the plaintext reconnect-per-call
+// row: the cost of a fresh TCP connection per call without a handshake.
+func BenchmarkTLSOverheadReconnectPlain(b *testing.B) {
+	benchReconnect(b, benchServer(b).URL())
+}
+
+// BenchmarkTLSOverheadHandshake measures the reconnect-per-call mode that
+// dominates the paper's informal "up to 50%" figure.
+func BenchmarkTLSOverheadHandshake(b *testing.B) {
+	srv, ca, user := benchTLSServer(b)
+	benchReconnect(b, srv.URL(), WithRootCAs(ca.Pool()), WithIdentity(user))
 }
 
 // --- E3 / Globus comparison ---

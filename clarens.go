@@ -18,7 +18,8 @@
 //	c, err := clarens.Dial(srv.URL())
 //	methods, err := c.Call("system.list_methods")
 //
-// See examples/ for complete programs and DESIGN.md for the paper map.
+// See examples/ for complete programs, bench_test.go for the paper map,
+// and the README's "Substitutions" for what stands in for 2005 software.
 package clarens
 
 import (

@@ -291,22 +291,6 @@ func TestCallAsyncCompletesAll(t *testing.T) {
 	}
 }
 
-func TestSweepAsyncShape(t *testing.T) {
-	_, c := startFull(t)
-	points, err := c.SweepAsync(1, 5, 2, 60, 1, "system.list_methods")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 { // 1, 3, 5
-		t.Fatalf("points = %d", len(points))
-	}
-	for _, p := range points {
-		if p.Errors != 0 || p.Rate() <= 0 {
-			t.Errorf("point %+v", p)
-		}
-	}
-}
-
 func TestTypedHelperErrors(t *testing.T) {
 	_, c := startFull(t)
 	if _, err := c.CallString("system.list_methods"); err == nil {

@@ -1,7 +1,7 @@
 // Command clarens-certgen generates grid-style test credentials: a CA,
 // user and host certificates, and proxy certificates, in the PEM layouts
 // the framework consumes. It plays the DOE Science Grid CA role for local
-// deployments (DESIGN.md §5).
+// deployments (README "Substitutions").
 //
 //	clarens-certgen -dir ./creds \
 //	  -org testgrid.org -users "Alice,Bob" -hosts "localhost,127.0.0.1"

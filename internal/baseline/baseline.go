@@ -1,14 +1,15 @@
 // Package baseline implements a Globus Toolkit 3-style web-service
 // container used as the performance comparator in experiment E3
-// (DESIGN.md). The paper (§4 footnote, §5) reports that invoking "a
-// trivial method 100 times ... across a 100 Mbps LAN using GTK 3.0 and
-// GTK 3.9.1 resulted in 5 to 1 calls per second", versus ~1450/s for
-// Clarens — roughly three orders of magnitude.
+// (BenchmarkBaselineGT3*). The paper (§4 footnote, §5) reports that
+// invoking "a trivial method 100 times ... across a 100 Mbps LAN using
+// GTK 3.0 and GTK 3.9.1 resulted in 5 to 1 calls per second", versus
+// ~1450/s for Clarens — roughly three orders of magnitude.
 //
-// This is a SUBSTITUTION (DESIGN.md §5): real GT3 cannot be run here, so
-// the container reproduces GT3's *documented* per-call cost structure —
-// the sources of overhead identified at the time by the Globus/OGSA
-// performance literature — rather than its exact code:
+// This is a SUBSTITUTION (README "Substitutions"): real GT3 cannot be
+// run in this reproduction, so the container reproduces GT3's
+// *documented* per-call cost structure — the sources of overhead
+// identified at the time by the Globus/OGSA performance literature —
+// rather than its exact code:
 //
 //  1. WS-Security-style message-level security: per call, the full
 //     request document is canonicalized and digested, a signature block

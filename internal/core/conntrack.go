@@ -1,8 +1,9 @@
 package core
 
 // Connection-layer instrumentation and TLS session-ticket key
-// management. The paper's §4 measurements (reproduced in BENCH_PR3)
-// put the production cliff at the TLS handshake: ~8.8k rps over a
+// management. The paper's §4 measurements (reproduced by the
+// BenchmarkTLSOverhead* rows; README "Paper figures") put the
+// production cliff at the TLS handshake: ~8.8k rps over a
 // kept-alive connection collapses to ~700 rps when every call pays a
 // full handshake. Everything here exists to make that amortization
 // observable (clarens.conn.* gauges) and to keep resumption working

@@ -46,8 +46,8 @@ type Config struct {
 	// RPCPath is the POST endpoint; default "/rpc". The root path "/" also
 	// accepts RPC POSTs, mirroring PClarens' URL-based dispatch.
 	RPCPath string
-	// DisableAuth skips the session lookup and ACL walk (ablation A1 in
-	// DESIGN.md). Never use outside benchmarks.
+	// DisableAuth skips the session lookup and ACL walk (ablation A1,
+	// BenchmarkDispatchAuth). Never use outside benchmarks.
 	DisableAuth bool
 	// MethodTimeout bounds each method invocation; the handler's context
 	// carries the deadline. Zero means no server-wide bound (individual

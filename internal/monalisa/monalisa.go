@@ -6,10 +6,10 @@
 // peer network (publish/subscribe), and serve snapshot queries and live
 // subscriptions to discovery clients.
 //
-// Substitution (DESIGN.md §5): the production MonALISA network ran
-// JINI/Java across 90+ sites; this package reproduces the same code path
-// — UDP publish → station aggregation → peer republish → subscription —
-// with site count as a test parameter.
+// Substitution (README "Substitutions"): the production MonALISA
+// network ran JINI/Java across 90+ sites; this package reproduces the
+// same code path — UDP publish → station aggregation → peer republish →
+// subscription — with site count as a test parameter.
 package monalisa
 
 import (

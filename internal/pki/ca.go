@@ -61,7 +61,7 @@ func (id *Identity) KeyPEM() ([]byte, error) {
 
 // CA is a minimal certificate authority for issuing grid-style user and
 // host certificates. It plays the role of the DOE Science Grid CA in the
-// paper's deployment (substitution documented in DESIGN.md §5).
+// paper's deployment (substitution listed in the README's "Substitutions").
 type CA struct {
 	Cert *x509.Certificate
 	Key  crypto.Signer

@@ -6,11 +6,11 @@
 // string, followed by a list of user distinguished name strings, a list
 // of group name strings, and a final list reserved for future use".
 //
-// Substitution (DESIGN.md §5): the original service switched Unix uids;
-// running unprivileged, we preserve the security model — mapping, ACL
-// gate, per-user sandboxes — and execute commands with a safe built-in
-// interpreter by default. Real /bin/sh execution is available behind an
-// explicit opt-in.
+// Substitution (README "Substitutions"): the original service switched
+// Unix uids; running unprivileged, we preserve the security model —
+// mapping, ACL gate, per-user sandboxes — and execute commands with a
+// safe built-in interpreter by default. Real /bin/sh execution is
+// available behind an explicit opt-in.
 package shellsvc
 
 import (
