@@ -8,7 +8,7 @@
 //
 //	methods                        list server methods
 //	help <method>                  show a method's help text
-//	call <method> [json-args...]   invoke any method (args parsed as JSON, else strings)
+//	call <method> [args...]        invoke any method (args typed by its signature, else JSON, else strings)
 //	whoami                         show the authenticated DN
 //	login <dn> <password>          proxy login; prints the session token
 //	file ls|read|md5|stat <path>   file service operations
@@ -97,9 +97,9 @@ func run(c *clarens.Client, args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: call <method> [args...]")
 		}
-		params := make([]any, 0, len(args)-2)
-		for _, a := range args[2:] {
-			params = append(params, parseArg(a))
+		params, err := coerceArgs(signatureOf(c, args[1]), args[2:])
+		if err != nil {
+			return err
 		}
 		result, err := c.Call(args[1], params...)
 		if err != nil {
@@ -275,13 +275,9 @@ func runJob(c *clarens.Client, args []string) error {
 		if len(args) > 4 {
 			return fmt.Errorf("usage: job submit <command line> [priority] [max_retries]")
 		}
-		params := []any{args[1]}
-		for _, a := range args[2:] {
-			n, err := strconv.Atoi(a)
-			if err != nil {
-				return fmt.Errorf("job submit: %q is not an integer", a)
-			}
-			params = append(params, n)
+		params, err := coerceArgs(signatureOf(c, "job.submit"), args[1:])
+		if err != nil {
+			return fmt.Errorf("job submit: %v", err)
 		}
 		id, err := c.CallString("job.submit", params...)
 		if err != nil {
@@ -531,6 +527,59 @@ func num(v any) float64 {
 		return x
 	}
 	return 0
+}
+
+// signatureOf returns the method's system.method_signature entries, or
+// nil when the lookup fails. The lookup is not part of the user's call,
+// so it carries neither the client's trace ID nor its sample flag.
+func signatureOf(c *clarens.Client, method string) []string {
+	trace, sample := c.Trace(), c.TraceSampling()
+	c.SetTrace("")
+	c.SetTraceSample(false)
+	sig, _ := c.CallStringList("system.method_signature", method)
+	c.SetTrace(trace)
+	c.SetTraceSample(sample)
+	return sig
+}
+
+// coerceArgs converts CLI arguments to parameters by the method's
+// signature: string and base64 parameters are sent raw, int and boolean
+// ones parsed, and the rest (any, array, struct, or a parameter no
+// signature entry reaches) go through parseArg.
+func coerceArgs(sig, args []string) ([]any, error) {
+	params := make([]any, len(args))
+	for i, a := range args {
+		switch paramType(sig, i) {
+		case "string", "base64":
+			params[i] = a
+		case "int":
+			n, err := strconv.Atoi(a)
+			if err != nil {
+				return nil, fmt.Errorf("argument %d: %q is not an integer", i+1, a)
+			}
+			params[i] = n
+		case "boolean":
+			b, err := strconv.ParseBool(a)
+			if err != nil {
+				return nil, fmt.Errorf("argument %d: %q is not a boolean", i+1, a)
+			}
+			params[i] = b
+		default:
+			params[i] = parseArg(a)
+		}
+	}
+	return params, nil
+}
+
+// paramType is parameter i's type in the first signature entry that
+// has one ("" when none does).
+func paramType(sig []string, i int) string {
+	for _, entry := range sig {
+		if f := strings.Fields(entry); i+1 < len(f) {
+			return f[i+1]
+		}
+	}
+	return ""
 }
 
 // parseArg interprets a CLI argument as JSON when possible, falling back

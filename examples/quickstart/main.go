@@ -53,6 +53,9 @@ func (mathService) Methods() []clarens.Method {
 			Signature: []string{"double array"},
 			Public:    true,
 			Handler: func(ctx *clarens.Context, p clarens.Params) (any, error) {
+				if len(p) != 1 {
+					return nil, fmt.Errorf("math.mean wants one array parameter")
+				}
 				nums, ok := p[0].([]any)
 				if !ok || len(nums) == 0 {
 					return nil, fmt.Errorf("math.mean wants a non-empty array")

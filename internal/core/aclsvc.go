@@ -17,35 +17,33 @@ func (aclService) Name() string { return "acl" }
 func (sv aclService) Methods() []Method {
 	return []Method{
 		{
+			// Hand-written: four trailing optional arrays, more parameters
+			// than Func4 takes.
 			Name:      "acl.set",
 			Help:      "Attach an ACL to a method hierarchy path. Parameters: path, order (\"allow,deny\"|\"deny,allow\"), allow DNs, allow groups, deny DNs, deny groups.",
 			Signature: []string{"boolean string string array array array array"},
 			Handler:   sv.set,
 		},
 		{
-			Name:      "acl.get",
-			Help:      "Return the ACL attached exactly at a path, or an empty struct.",
-			Signature: []string{"struct string"},
-			Handler:   sv.get,
+			Name: "acl.get",
+			Help: "Return the ACL attached exactly at a path, or an empty struct.",
+			Func: Func1(sv.get),
 		},
 		{
-			Name:      "acl.delete",
-			Help:      "Remove the ACL attached at a path.",
-			Signature: []string{"boolean string"},
-			Handler:   sv.del,
+			Name: "acl.delete",
+			Help: "Remove the ACL attached at a path.",
+			Func: Func1(sv.del),
 		},
 		{
-			Name:      "acl.list",
-			Help:      "List all paths with attached ACLs.",
-			Signature: []string{"array"},
-			Handler:   sv.list,
+			Name: "acl.list",
+			Help: "List all paths with attached ACLs.",
+			Func: Func0(sv.list),
 		},
 		{
-			Name:      "acl.check",
-			Help:      "Evaluate whether a DN may invoke a method; returns the decision and the hierarchy level that decided.",
-			Signature: []string{"struct string string"},
-			Public:    true,
-			Handler:   sv.check,
+			Name:   "acl.check",
+			Help:   "Evaluate whether a DN may invoke a method; returns the decision and the hierarchy level that decided.",
+			Public: true,
+			Func:   Func2(sv.check),
 		},
 	}
 }
@@ -69,7 +67,18 @@ func (sv aclService) set(ctx *Context, p Params) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	orderStr, err := p.String(1)
+	a, err := ACLParams(p, 1)
+	if err != nil {
+		return nil, err
+	}
+	return true, sv.s.methACL.Set(path, a)
+}
+
+// ACLParams reads an ACL from parameter i on: the evaluation order, then
+// up to four optional arrays of allow DNs, allow groups, deny DNs and
+// deny groups — the tail of acl.set and file.set_acl.
+func ACLParams(p Params, i int) (*acl.ACL, error) {
+	orderStr, err := p.String(i)
 	if err != nil {
 		return nil, err
 	}
@@ -78,29 +87,19 @@ func (sv aclService) set(ctx *Context, p Params) (any, error) {
 		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: err.Error()}
 	}
 	a := &acl.ACL{Order: order}
-	lists := []*[]string{&a.AllowDNs, &a.AllowGroups, &a.DenyDNs, &a.DenyGroups}
-	for i, dst := range lists {
-		if 2+i >= len(p) {
+	for j, dst := range []*[]string{&a.AllowDNs, &a.AllowGroups, &a.DenyDNs, &a.DenyGroups} {
+		if i+1+j >= len(p) {
 			break
 		}
-		vals, err := p.StringSlice(2 + i)
-		if err != nil {
+		if *dst, err = p.StringSlice(i + 1 + j); err != nil {
 			return nil, err
 		}
-		*dst = vals
 	}
-	if err := sv.s.methACL.Set(path, a); err != nil {
-		return nil, err
-	}
-	return true, nil
+	return a, nil
 }
 
-func (sv aclService) get(ctx *Context, p Params) (any, error) {
+func (sv aclService) get(ctx *Context, path string) (map[string]any, error) {
 	if err := ctx.RequireServerAdmin(); err != nil {
-		return nil, err
-	}
-	path, err := p.String(0)
-	if err != nil {
 		return nil, err
 	}
 	a, err := sv.s.methACL.Get(path)
@@ -119,40 +118,25 @@ func (sv aclService) get(ctx *Context, p Params) (any, error) {
 	}, nil
 }
 
-func (sv aclService) del(ctx *Context, p Params) (any, error) {
+func (sv aclService) del(ctx *Context, path string) (bool, error) {
 	if err := ctx.RequireServerAdmin(); err != nil {
-		return nil, err
+		return false, err
 	}
-	path, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	if err := sv.s.methACL.Delete(path); err != nil {
-		return nil, err
-	}
-	return true, nil
+	return true, sv.s.methACL.Delete(path)
 }
 
-func (sv aclService) list(ctx *Context, p Params) (any, error) {
+func (sv aclService) list(ctx *Context) ([]string, error) {
 	if err := ctx.RequireServerAdmin(); err != nil {
 		return nil, err
 	}
 	return sv.s.methACL.Paths(), nil
 }
 
-func (sv aclService) check(ctx *Context, p Params) (any, error) {
-	path, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	// Optional second parameter: the DN to check. Only server admins may
-	// probe other identities; everyone may check themselves.
+// check evaluates path for the caller, or for the optional DN probe:
+// only server admins may probe other identities.
+func (sv aclService) check(ctx *Context, path string, probeDN Opt[string]) (map[string]any, error) {
 	dn := ctx.DN
-	if len(p) > 1 {
-		dnStr, err := p.String(1)
-		if err != nil {
-			return nil, err
-		}
+	if dnStr, ok := probeDN.Get(); ok {
 		probe, err := parseDNParam(dnStr)
 		if err != nil {
 			return nil, err

@@ -45,7 +45,11 @@ type Handler func(ctx *Context, params Params) (any, error)
 // therefore see only calls that cleared authorization.
 type Interceptor func(next Handler) Handler
 
-// Method describes one invocable web-service method.
+// Method describes one invocable web-service method. A method sets
+// either Func, a typed Go function whose parameter and result types
+// become the Handler and the Signature, or Handler and Signature by
+// hand: the form for variadic methods, parameters a typed function
+// cannot express, and services outside this module.
 type Method struct {
 	// Name is the full dotted method name, e.g. "file.read". The paper:
 	// "Methods have a natural hierarchical structure ... a depth of two or
@@ -54,7 +58,7 @@ type Method struct {
 	// Help is the human-readable description served by system.method_help.
 	Help string
 	// Signature lists "<return-type> <param-type>..." entries served by
-	// system.method_signature.
+	// system.method_signature. Derived from Func when that is set.
 	Signature []string
 	// Public methods may be invoked without an Allow decision from the
 	// ACLs (an explicit Deny still blocks them). The authentication and
@@ -70,8 +74,10 @@ type Method struct {
 	// high-value operations (e.g. admin mutations) that should always
 	// leave a flight record.
 	TraceSample bool
-	// Handler executes the method.
+	// Handler executes the method. Derived from Func when that is set.
 	Handler Handler
+	// Func is the method declared as a typed function (Func0 … Func4).
+	Func Typed
 }
 
 // Service is a named bundle of methods registered as a unit; the module
@@ -347,6 +353,12 @@ func (r *registry) register(svc Service) error {
 		m := methods[i]
 		if !strings.HasPrefix(m.Name, name+".") {
 			return fmt.Errorf("core: method %q does not belong to service %q", m.Name, name)
+		}
+		if m.Func.handler != nil {
+			if m.Handler != nil || m.Signature != nil {
+				return fmt.Errorf("core: method %q sets both Func and Handler/Signature", m.Name)
+			}
+			m.Handler, m.Signature = m.Func.handler, m.Func.signature
 		}
 		if m.Handler == nil {
 			return fmt.Errorf("core: method %q has no handler", m.Name)

@@ -138,11 +138,10 @@ func TestObservationViewsAgree(t *testing.T) {
 
 		// View 2: system.stats, read through the handler so the reading
 		// itself is not a dispatch (and still works while draining).
-		res, err := systemService{s}.stats(&Context{DN: adminDN, srv: s}, nil)
+		stats, err := systemService{s}.stats(&Context{DN: adminDN, srv: s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats := res.(map[string]any)
 		if stats["requests"] != int(wantReq) || stats["faults"] != int(wantFaults) {
 			t.Errorf("%s: system.stats totals = %v/%v, want %d/%d", st.name, stats["requests"], stats["faults"], wantReq, wantFaults)
 		}

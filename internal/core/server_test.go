@@ -475,6 +475,11 @@ func TestRegisterValidation(t *testing.T) {
 	if err := s.Register(bad); err == nil {
 		t.Error("nil handler must be rejected")
 	}
+	typed := Func0(func(*Context) (bool, error) { return true, nil })
+	bad = stubService{name: "x", methods: []Method{{Name: "x.y", Func: typed, Signature: []string{"boolean"}}}}
+	if err := s.Register(bad); err == nil {
+		t.Error("Func with a hand-written Signature must be rejected")
+	}
 	good := stubService{name: "x", methods: []Method{{Name: "x.y", Handler: func(*Context, Params) (any, error) { return nil, nil }}}}
 	if err := s.Register(good); err != nil {
 		t.Errorf("valid service rejected: %v", err)

@@ -25,89 +25,83 @@ func (systemService) Name() string { return "system" }
 func (sv systemService) Methods() []Method {
 	return []Method{
 		{
-			Name:      "system.list_methods",
-			Help:      "List the names of all methods registered on this server.",
-			Signature: []string{"array"},
-			Public:    true,
-			Handler:   sv.listMethods,
+			Name:   "system.list_methods",
+			Help:   "List the names of all methods registered on this server.",
+			Public: true,
+			Func:   Func0(sv.listMethods),
 		},
 		{
-			Name:      "system.method_help",
-			Help:      "Return the help string for a method.",
-			Signature: []string{"string string"},
-			Public:    true,
-			Handler:   sv.methodHelp,
+			Name:   "system.method_help",
+			Help:   "Return the help string for a method.",
+			Public: true,
+			Func:   Func1(sv.methodHelp),
 		},
 		{
-			Name:      "system.method_signature",
-			Help:      "Return the signature list for a method.",
-			Signature: []string{"array string"},
-			Public:    true,
-			Handler:   sv.methodSignature,
+			Name:   "system.method_signature",
+			Help:   "Return the signature list for a method.",
+			Public: true,
+			Func:   Func1(sv.methodSignature),
 		},
 		{
-			Name:      "system.auth",
-			Help:      "Establish a server-side session for the TLS-authenticated caller; returns the session token.",
-			Signature: []string{"string"},
-			Public:    true,
-			Handler:   sv.auth,
+			Name:   "system.auth",
+			Help:   "Establish a server-side session for the TLS-authenticated caller; returns the session token.",
+			Public: true,
+			Func:   Func0(sv.auth),
 		},
 		{
-			Name:      "system.logout",
-			Help:      "Destroy the current session.",
-			Signature: []string{"boolean"},
-			Public:    true,
-			Handler:   sv.logout,
+			Name:   "system.logout",
+			Help:   "Destroy the current session.",
+			Public: true,
+			Func:   Func0(sv.logout),
 		},
 		{
-			Name:      "system.whoami",
-			Help:      "Return the caller's authenticated distinguished name (empty if anonymous).",
-			Signature: []string{"string"},
-			Public:    true,
-			Handler:   sv.whoami,
+			Name:   "system.whoami",
+			Help:   "Return the caller's authenticated distinguished name (empty if anonymous).",
+			Public: true,
+			Func:   Func0(sv.whoami),
 		},
 		{
+			// Hand-written: a typed string result would box "pong" per
+			// call, where the literal below is boxed at compile time.
 			Name:      "system.ping",
 			Help:      "Liveness probe; returns the string \"pong\".",
 			Signature: []string{"string"},
 			Public:    true,
-			Handler:   sv.ping,
+			Handler:   func(*Context, Params) (any, error) { return "pong", nil },
 		},
 		{
-			Name:      "system.echo",
-			Help:      "Return the first parameter unchanged; the trivial method used in cross-framework comparisons.",
-			Signature: []string{"any any"},
-			Public:    true,
-			Handler:   sv.echo,
+			Name:   "system.echo",
+			Help:   "Return the first parameter unchanged; the trivial method used in cross-framework comparisons.",
+			Public: true,
+			Func:   Func1(sv.echo),
 		},
 		{
+			// Hand-written for the same reason as system.ping.
 			Name:      "system.version",
 			Help:      "Return the server version string.",
 			Signature: []string{"string"},
 			Public:    true,
-			Handler:   sv.version,
+			Handler:   func(*Context, Params) (any, error) { return Version, nil },
 		},
 		{
-			Name:      "system.time",
-			Help:      "Return the server's current UTC time.",
-			Signature: []string{"dateTime.iso8601"},
-			Public:    true,
-			Handler:   sv.time,
+			Name:   "system.time",
+			Help:   "Return the server's current UTC time.",
+			Public: true,
+			Func:   Func0(sv.time),
 		},
 		{
-			Name:      "system.stats",
-			Help:      "Return dispatch counters: requests, faults, uptime seconds, per-method counts and latency quantiles, plus per-service sections (queue depths, peer health).",
-			Signature: []string{"struct"},
-			Handler:   sv.stats,
+			Name: "system.stats",
+			Help: "Return dispatch counters: requests, faults, uptime seconds, per-method counts and latency quantiles, plus per-service sections (queue depths, peer health).",
+			Func: Func0(sv.stats),
 		},
 		{
-			Name:      "system.health",
-			Help:      "Liveness and readiness summary: overall status, uptime, version, and the result of each registered health check.",
-			Signature: []string{"struct"},
-			Public:    true,
-			Handler:   sv.health,
+			Name:   "system.health",
+			Help:   "Liveness and readiness summary: overall status, uptime, version, and the result of each registered health check.",
+			Public: true,
+			Func:   Func0(sv.health),
 		},
 		{
+			// Hand-written: the parameters are a variadic list of sub-calls.
 			Name: "system.multicall",
 			Help: "Execute an array of {methodName, params} sub-calls in one request; " +
 				"returns one entry per sub-call: a one-element array wrapping the result, or a {faultCode, faultString} struct.",
@@ -118,7 +112,7 @@ func (sv systemService) Methods() []Method {
 	}
 }
 
-func (sv systemService) listMethods(ctx *Context, p Params) (any, error) {
+func (sv systemService) listMethods(ctx *Context) ([]any, error) {
 	// The Figure 4 workload: all registered method names, serialized as
 	// an array of >30 strings. The database scan and sort are cached
 	// behind the methods bucket generation, so steady-state requests pay
@@ -127,23 +121,15 @@ func (sv systemService) listMethods(ctx *Context, p Params) (any, error) {
 	return norm, nil
 }
 
-func (sv systemService) methodHelp(ctx *Context, p Params) (any, error) {
-	name, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (sv systemService) methodHelp(ctx *Context, name string) (string, error) {
 	m, ok := sv.s.registry.lookup(name)
 	if !ok {
-		return nil, &rpc.Fault{Code: rpc.CodeMethodNotFound, Message: "no such method " + name}
+		return "", &rpc.Fault{Code: rpc.CodeMethodNotFound, Message: "no such method " + name}
 	}
 	return m.Help, nil
 }
 
-func (sv systemService) methodSignature(ctx *Context, p Params) (any, error) {
-	name, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (sv systemService) methodSignature(ctx *Context, name string) ([]string, error) {
 	m, ok := sv.s.registry.lookup(name)
 	if !ok {
 		return nil, &rpc.Fault{Code: rpc.CodeMethodNotFound, Message: "no such method " + name}
@@ -151,9 +137,9 @@ func (sv systemService) methodSignature(ctx *Context, p Params) (any, error) {
 	return m.Signature, nil
 }
 
-func (sv systemService) auth(ctx *Context, p Params) (any, error) {
+func (sv systemService) auth(ctx *Context) (string, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
-		return nil, err
+		return "", err
 	}
 	if ctx.Session != nil {
 		// Re-authentication with a live session just renews it.
@@ -163,37 +149,25 @@ func (sv systemService) auth(ctx *Context, p Params) (any, error) {
 	}
 	sess, err := sv.s.sessions.New(ctx.DN)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	return sess.ID, nil
 }
 
-func (sv systemService) logout(ctx *Context, p Params) (any, error) {
+func (sv systemService) logout(ctx *Context) (bool, error) {
 	if ctx.Session == nil {
 		return false, nil
 	}
-	if err := sv.s.sessions.Delete(ctx.Session.ID); err != nil {
-		return nil, err
-	}
-	return true, nil
+	return true, sv.s.sessions.Delete(ctx.Session.ID)
 }
 
-func (sv systemService) whoami(ctx *Context, p Params) (any, error) {
+func (sv systemService) whoami(ctx *Context) (string, error) {
 	return ctx.DN.String(), nil
 }
 
-func (systemService) ping(ctx *Context, p Params) (any, error) { return "pong", nil }
+func (systemService) echo(ctx *Context, v Opt[any]) (any, error) { return v.Or(nil), nil }
 
-func (systemService) echo(ctx *Context, p Params) (any, error) {
-	if len(p) == 0 {
-		return nil, nil
-	}
-	return p[0], nil
-}
-
-func (systemService) version(ctx *Context, p Params) (any, error) { return Version, nil }
-
-func (systemService) time(ctx *Context, p Params) (any, error) {
+func (systemService) time(ctx *Context) (time.Time, error) {
 	return time.Now().UTC(), nil
 }
 
@@ -278,7 +252,7 @@ func (sv systemService) runSubCall(ctx *Context, entry any) any {
 
 // health is the public liveness/readiness probe: overall status ("ok"
 // or "degraded"), uptime, version, and each registered check's result.
-func (sv systemService) health(ctx *Context, p Params) (any, error) {
+func (sv systemService) health(ctx *Context) (map[string]any, error) {
 	ok, checks := sv.s.runHealthChecks()
 	status := "ok"
 	if !ok {
@@ -293,7 +267,7 @@ func (sv systemService) health(ctx *Context, p Params) (any, error) {
 	}, nil
 }
 
-func (sv systemService) stats(ctx *Context, p Params) (any, error) {
+func (sv systemService) stats(ctx *Context) (map[string]any, error) {
 	if err := ctx.RequireServerAdmin(); err != nil {
 		return nil, err
 	}

@@ -24,6 +24,7 @@ func (traceService) Name() string { return "trace" }
 func (sv traceService) Methods() []Method {
 	return []Method{
 		{
+			// Hand-written: two signatures, with and without local_only.
 			Name: "trace.get",
 			Help: "Return the stored span tree of one trace. Unless the optional " +
 				"local_only flag is true, the server fans out to the peers the " +
@@ -32,6 +33,7 @@ func (sv traceService) Methods() []Method {
 			Handler:   sv.get,
 		},
 		{
+			// Hand-written: the optional filter is a struct.
 			Name: "trace.search",
 			Help: "List sampled traces, newest first. Optional filter struct: " +
 				"method, server, min_ms (int), fault (bool), limit (int).",

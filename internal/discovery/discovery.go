@@ -177,37 +177,32 @@ func (s *Service) Name() string { return "discovery" }
 func (s *Service) Methods() []core.Method {
 	return []core.Method{
 		{
-			Name:      "discovery.register",
-			Help:      "Publish every locally registered service module to the discovery network; returns the number of entries published.",
-			Signature: []string{"int string"},
-			Handler:   s.register,
+			Name: "discovery.register",
+			Help: "Publish every locally registered service module to the discovery network; returns the number of entries published.",
+			Func: core.Func1(s.register),
 		},
 		{
-			Name:      "discovery.deregister",
-			Help:      "Publish zero-TTL entries for this server, removing it from caches at the next purge.",
-			Signature: []string{"int"},
-			Handler:   s.deregister,
+			Name: "discovery.deregister",
+			Help: "Publish zero-TTL entries for this server, removing it from caches at the next purge.",
+			Func: core.Func0(s.deregister),
 		},
 		{
-			Name:      "discovery.find",
-			Help:      "Find services by name pattern (glob on \"server/service\"); returns entries {server, url, service, methods, version, expires}.",
-			Signature: []string{"array string"},
-			Public:    true,
-			Handler:   s.find,
+			Name:   "discovery.find",
+			Help:   "Find services by name pattern (glob on \"server/service\"); returns entries {server, url, service, methods, version, expires}.",
+			Public: true,
+			Func:   core.Func1(s.find),
 		},
 		{
-			Name:      "discovery.servers",
-			Help:      "List the distinct server names present in the discovery cache.",
-			Signature: []string{"array"},
-			Public:    true,
-			Handler:   s.servers,
+			Name:   "discovery.servers",
+			Help:   "List the distinct server names present in the discovery cache.",
+			Public: true,
+			Func:   core.Func0(s.servers),
 		},
 		{
-			Name:      "discovery.methods",
-			Help:      "Return the methods advertised for a server/service entry.",
-			Signature: []string{"array string string"},
-			Public:    true,
-			Handler:   s.methodsOf,
+			Name:   "discovery.methods",
+			Help:   "Return the methods advertised for a server/service entry.",
+			Public: true,
+			Func:   core.Func2(s.methodsOf),
 		},
 	}
 }
@@ -291,24 +286,17 @@ func (s *Service) StopPeriodic() {
 	}
 }
 
-func (s *Service) register(ctx *core.Context, p core.Params) (any, error) {
-	baseURL, err := p.OptString(0, s.srv.URL())
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) register(ctx *core.Context, url core.Opt[string]) (int, error) {
+	baseURL := url.Or(s.srv.URL())
 	if baseURL == "" {
-		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: "discovery: server has no URL; pass one explicitly"}
+		return 0, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: "discovery: server has no URL; pass one explicitly"}
 	}
-	n, err := s.PublishAll(baseURL)
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
+	return s.PublishAll(baseURL)
 }
 
-func (s *Service) deregister(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) deregister(ctx *core.Context) (int, error) {
 	if s.publisher == nil {
-		return nil, &rpc.Fault{Code: rpc.CodeApplication, Message: "discovery: no publisher configured"}
+		return 0, &rpc.Fault{Code: rpc.CodeApplication, Message: "discovery: no publisher configured"}
 	}
 	entries := s.Entries("")
 	n := 0
@@ -428,12 +416,8 @@ func matchSegments(pattern, name string) (bool, error) {
 	return match(pattern, name), nil
 }
 
-func (s *Service) find(ctx *core.Context, p core.Params) (any, error) {
-	pattern, err := p.OptString(0, "*")
-	if err != nil {
-		return nil, err
-	}
-	entries, err := s.Find(pattern)
+func (s *Service) find(ctx *core.Context, pattern core.Opt[string]) ([]any, error) {
+	entries, err := s.Find(pattern.Or("*"))
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +435,7 @@ func (s *Service) find(ctx *core.Context, p core.Params) (any, error) {
 	return out, nil
 }
 
-func (s *Service) servers(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) servers(ctx *core.Context) ([]string, error) {
 	entries, err := s.Find("*")
 	if err != nil {
 		return nil, err
@@ -468,15 +452,7 @@ func (s *Service) servers(ctx *core.Context, p core.Params) (any, error) {
 	return out, nil
 }
 
-func (s *Service) methodsOf(ctx *core.Context, p core.Params) (any, error) {
-	server, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	service, err := p.String(1)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) methodsOf(ctx *core.Context, server, service string) ([]string, error) {
 	var e Entry
 	found, err := s.srv.Store().GetJSON(bucket, server+"/"+service, &e)
 	if err != nil {

@@ -214,7 +214,7 @@ func TestDeregisterPublishesTombstones(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("no entries")
 	}
-	if _, err := f.svc.deregister(nil, nil); err != nil {
+	if _, err := f.svc.deregister(nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "tombstones", func() bool {

@@ -193,69 +193,62 @@ func (s *Service) authorizeOrFault(ctx *core.Context, virtual string, kind Acces
 func (s *Service) Methods() []core.Method {
 	return []core.Method{
 		{
-			Name:      "file.read",
-			Help:      "Read up to `length` bytes from `name` starting at `offset`; returns {data, eof, size}. length -1 reads to EOF (capped per call); eof tells chunk-iterating clients when to stop without a zero-byte probe.",
-			Signature: []string{"struct string int int"},
-			Public:    true,
-			Handler:   s.read,
+			Name:   "file.read",
+			Help:   "Read up to `length` bytes from `name` starting at `offset`; returns {data, eof, size}. length -1 reads to EOF (capped per call); eof tells chunk-iterating clients when to stop without a zero-byte probe.",
+			Public: true,
+			Func:   core.Func3(s.read),
 		},
 		{
-			Name:      "file.write",
-			Help:      "Write binary data to `name` at `offset` (-1 appends), creating the file if needed; returns bytes written.",
-			Signature: []string{"int string base64 int"},
-			Public:    true,
-			Handler:   s.write,
+			Name:   "file.write",
+			Help:   "Write binary data to `name` at `offset` (-1 appends), creating the file if needed; returns bytes written.",
+			Public: true,
+			Func:   core.Func3(s.write),
 		},
 		{
-			Name:      "file.ls",
-			Help:      "List a directory; returns an array of {name, size, is_dir, mtime} structs.",
-			Signature: []string{"array string"},
-			Public:    true,
-			Handler:   s.ls,
+			Name:   "file.ls",
+			Help:   "List a directory; returns an array of {name, size, is_dir, mtime} structs.",
+			Public: true,
+			Func:   core.Func1(s.ls),
 		},
 		{
-			Name:      "file.stat",
-			Help:      "Return {name, size, is_dir, mtime} for a path.",
-			Signature: []string{"struct string"},
-			Public:    true,
-			Handler:   s.stat,
+			Name:   "file.stat",
+			Help:   "Return {name, size, is_dir, mtime} for a path.",
+			Public: true,
+			Func:   core.Func1(s.stat),
 		},
 		{
-			Name:      "file.md5",
-			Help:      "Return the hex MD5 digest of a file, for integrity checking.",
-			Signature: []string{"string string"},
-			Public:    true,
-			Handler:   s.md5sum,
+			Name:   "file.md5",
+			Help:   "Return the hex MD5 digest of a file, for integrity checking.",
+			Public: true,
+			Func:   core.Func1(s.md5sum),
 		},
 		{
-			Name:      "file.find",
-			Help:      "Recursively find files under `dir` whose base name matches the glob `pattern`.",
-			Signature: []string{"array string string"},
-			Public:    true,
-			Handler:   s.find,
+			Name:   "file.find",
+			Help:   "Recursively find files under `dir` whose base name matches the glob `pattern`.",
+			Public: true,
+			Func:   core.Func2(s.find),
 		},
 		{
-			Name:      "file.size",
-			Help:      "Return the size of a file in bytes.",
-			Signature: []string{"int string"},
-			Public:    true,
-			Handler:   s.size,
+			Name:   "file.size",
+			Help:   "Return the size of a file in bytes.",
+			Public: true,
+			Func:   core.Func1(s.size),
 		},
 		{
-			Name:      "file.mkdir",
-			Help:      "Create a directory (and missing parents).",
-			Signature: []string{"boolean string"},
-			Public:    true,
-			Handler:   s.mkdir,
+			Name:   "file.mkdir",
+			Help:   "Create a directory (and missing parents).",
+			Public: true,
+			Func:   core.Func1(s.mkdir),
 		},
 		{
-			Name:      "file.rm",
-			Help:      "Remove a file or empty directory.",
-			Signature: []string{"boolean string"},
-			Public:    true,
-			Handler:   s.rm,
+			Name:   "file.rm",
+			Help:   "Remove a file or empty directory.",
+			Public: true,
+			Func:   core.Func1(s.rm),
 		},
 		{
+			// Hand-written: four trailing optional arrays, more parameters
+			// than Func4 takes.
 			Name:      "file.set_acl",
 			Help:      "Attach a read or write ACL to a path. Parameters: path, kind (read|write), order, allow DNs, allow groups, deny DNs, deny groups. Administrators only.",
 			Signature: []string{"boolean string string string array array array array"},
@@ -263,35 +256,22 @@ func (s *Service) Methods() []core.Method {
 			Handler:   s.setACLMethod,
 		},
 		{
-			Name:      "file.get_acl",
-			Help:      "Return the ACL entry attached at a path. Administrators only.",
-			Signature: []string{"struct string"},
-			Public:    true,
-			Handler:   s.getACLMethod,
+			Name:   "file.get_acl",
+			Help:   "Return the ACL entry attached at a path. Administrators only.",
+			Public: true,
+			Func:   core.Func1(s.getACLMethod),
 		},
 		{
-			Name:      "file.del_acl",
-			Help:      "Remove the ACL entry at a path. Administrators only.",
-			Signature: []string{"boolean string"},
-			Public:    true,
-			Handler:   s.delACLMethod,
+			Name:   "file.del_acl",
+			Help:   "Remove the ACL entry at a path. Administrators only.",
+			Public: true,
+			Func:   core.Func1(s.delACLMethod),
 		},
 	}
 }
 
-func (s *Service) read(ctx *core.Context, p core.Params) (any, error) {
-	name, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	offset, err := p.OptInt(1, 0)
-	if err != nil {
-		return nil, err
-	}
-	length, err := p.OptInt(2, -1)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) read(ctx *core.Context, name string, offsetArg, lengthArg core.Opt[int]) (map[string]any, error) {
+	offset, length := offsetArg.Or(0), lengthArg.Or(-1)
 	real, virtual, err := s.resolve(name)
 	if err != nil {
 		return nil, err
@@ -331,25 +311,14 @@ func (s *Service) read(ctx *core.Context, p core.Params) (any, error) {
 	}, nil
 }
 
-func (s *Service) write(ctx *core.Context, p core.Params) (any, error) {
-	name, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	data, err := p.Bytes(1)
-	if err != nil {
-		return nil, err
-	}
-	offset, err := p.OptInt(2, -1)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) write(ctx *core.Context, name string, data []byte, offsetArg core.Opt[int]) (int, error) {
+	offset := offsetArg.Or(-1)
 	real, virtual, err := s.resolve(name)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := s.authorizeOrFault(ctx, virtual, Write); err != nil {
-		return nil, err
+		return 0, err
 	}
 	flags := os.O_CREATE | os.O_WRONLY
 	if offset < 0 {
@@ -357,7 +326,7 @@ func (s *Service) write(ctx *core.Context, p core.Params) (any, error) {
 	}
 	f, err := os.OpenFile(real, flags, 0o644)
 	if err != nil {
-		return nil, pathFault(err)
+		return 0, pathFault(err)
 	}
 	defer f.Close()
 	var n int
@@ -367,7 +336,7 @@ func (s *Service) write(ctx *core.Context, p core.Params) (any, error) {
 		n, err = f.WriteAt(data, int64(offset))
 	}
 	if err != nil {
-		return nil, pathFault(err)
+		return 0, pathFault(err)
 	}
 	return n, nil
 }
@@ -381,12 +350,8 @@ func statStruct(name string, fi fs.FileInfo) map[string]any {
 	}
 }
 
-func (s *Service) ls(ctx *core.Context, p core.Params) (any, error) {
-	name, err := p.OptString(0, "/")
-	if err != nil {
-		return nil, err
-	}
-	real, virtual, err := s.resolve(name)
+func (s *Service) ls(ctx *core.Context, dir core.Opt[string]) ([]any, error) {
+	real, virtual, err := s.resolve(dir.Or("/"))
 	if err != nil {
 		return nil, err
 	}
@@ -409,58 +374,52 @@ func (s *Service) ls(ctx *core.Context, p core.Params) (any, error) {
 	return out, nil
 }
 
-func (s *Service) stat(ctx *core.Context, p core.Params) (any, error) {
-	name, err := p.String(0)
+func (s *Service) stat(ctx *core.Context, name string) (map[string]any, error) {
+	fi, virtual, err := s.statPath(ctx, name)
 	if err != nil {
 		return nil, err
-	}
-	real, virtual, err := s.resolve(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.authorizeOrFault(ctx, virtual, Read); err != nil {
-		return nil, err
-	}
-	fi, err := os.Stat(real)
-	if err != nil {
-		return nil, pathFault(err)
 	}
 	return statStruct(virtual, fi), nil
 }
 
-func (s *Service) md5sum(ctx *core.Context, p core.Params) (any, error) {
-	name, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+// statPath resolves name, checks read access and stats it.
+func (s *Service) statPath(ctx *core.Context, name string) (fs.FileInfo, string, error) {
 	real, virtual, err := s.resolve(name)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if err := s.authorizeOrFault(ctx, virtual, Read); err != nil {
-		return nil, err
+		return nil, "", err
+	}
+	fi, err := os.Stat(real)
+	if err != nil {
+		return nil, "", pathFault(err)
+	}
+	return fi, virtual, nil
+}
+
+func (s *Service) md5sum(ctx *core.Context, name string) (string, error) {
+	real, virtual, err := s.resolve(name)
+	if err != nil {
+		return "", err
+	}
+	if err := s.authorizeOrFault(ctx, virtual, Read); err != nil {
+		return "", err
 	}
 	f, err := os.Open(real)
 	if err != nil {
-		return nil, pathFault(err)
+		return "", pathFault(err)
 	}
 	defer f.Close()
 	h := md5.New()
 	if _, err := io.Copy(h, f); err != nil {
-		return nil, pathFault(err)
+		return "", pathFault(err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-func (s *Service) find(ctx *core.Context, p core.Params) (any, error) {
-	dir, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	pattern, err := p.OptString(1, "*")
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) find(ctx *core.Context, dir string, patternArg core.Opt[string]) ([]any, error) {
+	pattern := patternArg.Or("*")
 	if _, badPattern := path.Match(pattern, "probe"); badPattern != nil {
 		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: "bad glob pattern: " + pattern}
 	}
@@ -502,49 +461,41 @@ func (s *Service) find(ctx *core.Context, p core.Params) (any, error) {
 	return out, nil
 }
 
-func (s *Service) size(ctx *core.Context, p core.Params) (any, error) {
-	v, err := s.stat(ctx, p)
+func (s *Service) size(ctx *core.Context, name string) (int, error) {
+	fi, _, err := s.statPath(ctx, name)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return v.(map[string]any)["size"], nil
+	return int(fi.Size()), nil
 }
 
-func (s *Service) mkdir(ctx *core.Context, p core.Params) (any, error) {
-	name, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) mkdir(ctx *core.Context, name string) (bool, error) {
 	real, virtual, err := s.resolve(name)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if err := s.authorizeOrFault(ctx, virtual, Write); err != nil {
-		return nil, err
+		return false, err
 	}
 	if err := os.MkdirAll(real, 0o755); err != nil {
-		return nil, pathFault(err)
+		return false, pathFault(err)
 	}
 	return true, nil
 }
 
-func (s *Service) rm(ctx *core.Context, p core.Params) (any, error) {
-	name, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) rm(ctx *core.Context, name string) (bool, error) {
 	real, virtual, err := s.resolve(name)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if virtual == "/" {
-		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: "refusing to remove the virtual root"}
+		return false, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: "refusing to remove the virtual root"}
 	}
 	if err := s.authorizeOrFault(ctx, virtual, Write); err != nil {
-		return nil, err
+		return false, err
 	}
 	if err := os.Remove(real); err != nil {
-		return nil, pathFault(err)
+		return false, pathFault(err)
 	}
 	return true, nil
 }
@@ -570,38 +521,15 @@ func (s *Service) setACLMethod(ctx *core.Context, p core.Params) (any, error) {
 	default:
 		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: "kind must be read or write"}
 	}
-	orderStr, err := p.String(2)
+	a, err := core.ACLParams(p, 2)
 	if err != nil {
 		return nil, err
 	}
-	order, err := acl.ParseOrder(orderStr)
-	if err != nil {
-		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: err.Error()}
-	}
-	a := &acl.ACL{Order: order}
-	lists := []*[]string{&a.AllowDNs, &a.AllowGroups, &a.DenyDNs, &a.DenyGroups}
-	for i, dst := range lists {
-		if 3+i >= len(p) {
-			break
-		}
-		vals, err := p.StringSlice(3 + i)
-		if err != nil {
-			return nil, err
-		}
-		*dst = vals
-	}
-	if err := s.SetACL(pathArg, kind, a); err != nil {
-		return nil, err
-	}
-	return true, nil
+	return true, s.SetACL(pathArg, kind, a)
 }
 
-func (s *Service) getACLMethod(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) getACLMethod(ctx *core.Context, pathArg string) (map[string]any, error) {
 	if err := ctx.RequireServerAdmin(); err != nil {
-		return nil, err
-	}
-	pathArg, err := p.String(0)
-	if err != nil {
 		return nil, err
 	}
 	e, err := s.GetACL(pathArg)
@@ -630,18 +558,11 @@ func aclStruct(a *acl.ACL) map[string]any {
 	}
 }
 
-func (s *Service) delACLMethod(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) delACLMethod(ctx *core.Context, pathArg string) (bool, error) {
 	if err := ctx.RequireServerAdmin(); err != nil {
-		return nil, err
+		return false, err
 	}
-	pathArg, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.DeleteACL(pathArg); err != nil {
-		return nil, err
-	}
-	return true, nil
+	return true, s.DeleteACL(pathArg)
 }
 
 // pathFault converts filesystem errors to application faults without

@@ -925,25 +925,22 @@ func (s *Service) List(owner, state string) ([]*Job, error) {
 	return out, err
 }
 
-// waitTerminal polls the job table until the job is terminal, ctx is
-// done, or timeout elapses, returning the last record seen. Callers
-// decide how to treat a still-non-terminal result.
+// waitTerminal parks on the job's state events until the job is
+// terminal, ctx is done, or the timeout elapses; it returns the latest
+// record either way.
 func (s *Service) waitTerminal(ctx context.Context, id string, timeout time.Duration) (*Job, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		j, ok := s.Get(id)
-		if !ok {
-			return nil, fmt.Errorf("jobsvc: no such job %q", id)
-		}
-		if Terminal(j.State) || time.Now().After(deadline) {
-			return j, nil
-		}
-		select {
-		case <-ctx.Done():
-			return j, nil
-		case <-time.After(5 * time.Millisecond):
-		}
+	var j *Job
+	ok := false
+	s.srv.Events().Await(ctx, "job.wait:"+id, func(ev *pubsub.Event) bool {
+		return ev.Type == "job.state" && ev.Tags["job_id"] == id
+	}, timeout, func() bool {
+		j, ok = s.Get(id)
+		return !ok || Terminal(j.State)
+	})
+	if !ok {
+		return nil, fmt.Errorf("jobsvc: no such job %q", id)
 	}
+	return j, nil
 }
 
 // Wait blocks until the job reaches a terminal state or the timeout
@@ -1435,53 +1432,45 @@ func (s *Service) Name() string { return "job" }
 func (s *Service) Methods() []core.Method {
 	return []core.Method{
 		{
-			Name:      "job.submit",
-			Help:      "Queue a sandboxed command for asynchronous execution: submit(command, [priority], [max_retries], [collect_globs]); returns the job id. collect_globs name sandbox files to stage as artifacts after a successful run.",
-			Signature: []string{"string string int int array"},
-			Handler:   s.rpcSubmit,
+			Name: "job.submit",
+			Help: "Queue a sandboxed command for asynchronous execution: submit(command, [priority], [max_retries], [collect_globs]); returns the job id. collect_globs name sandbox files to stage as artifacts after a successful run.",
+			Func: core.Func4(s.rpcSubmit),
 		},
 		{
-			Name:      "job.status",
-			Help:      "Return a job's full status record by id (owner or server admin only).",
-			Signature: []string{"struct string"},
-			Handler:   s.rpcStatus,
+			Name: "job.status",
+			Help: "Return a job's full status record by id (owner or server admin only).",
+			Func: core.Func1(s.rpcStatus),
 		},
 		{
-			Name:      "job.list",
-			Help:      "List the caller's jobs, oldest first; optional state filter (queued|running|done|failed|cancelled). Server admins see all jobs.",
-			Signature: []string{"array string"},
-			Handler:   s.rpcList,
+			Name: "job.list",
+			Help: "List the caller's jobs, oldest first; optional state filter (queued|running|done|failed|cancelled). Server admins see all jobs.",
+			Func: core.Func1(s.rpcList),
 		},
 		{
-			Name:      "job.cancel",
-			Help:      "Cancel a job: queued jobs stop immediately, running jobs when the current attempt returns, remote jobs on the executing peer. Returns whether anything changed.",
-			Signature: []string{"boolean string"},
-			Handler:   s.rpcCancel,
+			Name: "job.cancel",
+			Help: "Cancel a job: queued jobs stop immediately, running jobs when the current attempt returns, remote jobs on the executing peer. Returns whether anything changed.",
+			Func: core.Func1(s.rpcCancel),
 		},
 		{
-			Name:      "job.output",
-			Help:      "Return {stdout, stderr, exit_code, state, truncated, artifacts} for a job (owner or server admin only). stdout/stderr are bounded heads; when truncated, the artifacts array references the full streams for file.read / HTTP GET fetching. Jobs executing on a federation peer are proxied transparently.",
-			Signature: []string{"struct string"},
-			Handler:   s.rpcOutput,
+			Name: "job.output",
+			Help: "Return {stdout, stderr, exit_code, state, truncated, artifacts} for a job (owner or server admin only). stdout/stderr are bounded heads; when truncated, the artifacts array references the full streams for file.read / HTTP GET fetching. Jobs executing on a federation peer are proxied transparently.",
+			Func: core.Func1(s.rpcOutput),
 		},
 		{
-			Name:      "job.delete",
-			Help:      "Delete a terminal job record and its staged artifacts (owner or server admin only); returns true.",
-			Signature: []string{"boolean string"},
-			Handler:   s.rpcDelete,
+			Name: "job.delete",
+			Help: "Delete a terminal job record and its staged artifacts (owner or server admin only); returns true.",
+			Func: core.Func1(s.rpcDelete),
 		},
 		{
-			Name:      "job.wait",
-			Help:      "Block until a job reaches a terminal state or timeout_s elapses (default 30, max 600); returns the status record: wait(id, [timeout_s]).",
-			Signature: []string{"struct string int"},
-			Handler:   s.rpcWait,
+			Name: "job.wait",
+			Help: "Block until a job reaches a terminal state or timeout_s elapses (default 30, max 600); returns the status record: wait(id, [timeout_s]).",
+			Func: core.Func2(s.rpcWait),
 		},
 		{
-			Name:      "job.stats",
-			Help:      "Scheduler counters: queue depth, running, remote, terminal counts, workers, throughput. Public so federation peers can poll load.",
-			Signature: []string{"struct"},
-			Public:    true,
-			Handler:   s.rpcStats,
+			Name:   "job.stats",
+			Help:   "Scheduler counters: queue depth, running, remote, terminal counts, workers, throughput. Public so federation peers can poll load.",
+			Public: true,
+			Func:   core.Func0(s.rpcStats),
 		},
 	}
 }
@@ -1578,41 +1567,18 @@ func (s *Service) liveRemote(j *Job) *Job {
 	return j
 }
 
-func (s *Service) rpcSubmit(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) rpcSubmit(ctx *core.Context, command string, priority, retries core.Opt[int], collect core.Opt[[]string]) (string, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
-		return nil, err
+		return "", err
 	}
-	command, err := p.String(0)
+	j, err := s.SubmitTraced(ctx.DN, ctx.TraceID(), command, priority.Or(0), retries.Or(0), collect.Or(nil)...)
 	if err != nil {
-		return nil, err
-	}
-	priority, err := p.OptInt(1, 0)
-	if err != nil {
-		return nil, err
-	}
-	retries, err := p.OptInt(2, 0)
-	if err != nil {
-		return nil, err
-	}
-	var collect []string
-	if len(p) > 3 {
-		collect, err = p.StringSlice(3)
-		if err != nil {
-			return nil, err
-		}
-	}
-	j, err := s.SubmitTraced(ctx.DN, ctx.TraceID(), command, priority, retries, collect...)
-	if err != nil {
-		return nil, err
+		return "", err
 	}
 	return j.ID, nil
 }
 
-func (s *Service) rpcStatus(ctx *core.Context, p core.Params) (any, error) {
-	id, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) rpcStatus(ctx *core.Context, id string) (map[string]any, error) {
 	j, err := s.authorized(ctx, id)
 	if err != nil {
 		return nil, err
@@ -1620,21 +1586,8 @@ func (s *Service) rpcStatus(ctx *core.Context, p core.Params) (any, error) {
 	return jobStruct(s.liveRemote(j)), nil
 }
 
-func (s *Service) rpcWait(ctx *core.Context, p core.Params) (any, error) {
-	id, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	timeoutS, err := p.OptInt(1, 30)
-	if err != nil {
-		return nil, err
-	}
-	if timeoutS < 1 {
-		timeoutS = 1
-	}
-	if timeoutS > 600 {
-		timeoutS = 600
-	}
+func (s *Service) rpcWait(ctx *core.Context, id string, timeoutArg core.Opt[int]) (map[string]any, error) {
+	timeoutS := min(max(timeoutArg.Or(30), 1), 600)
 	if _, err := s.authorized(ctx, id); err != nil {
 		return nil, err
 	}
@@ -1645,19 +1598,15 @@ func (s *Service) rpcWait(ctx *core.Context, p core.Params) (any, error) {
 	return jobStruct(s.liveRemote(j)), nil
 }
 
-func (s *Service) rpcList(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) rpcList(ctx *core.Context, state core.Opt[string]) ([]any, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
-		return nil, err
-	}
-	state, err := p.OptString(0, "")
-	if err != nil {
 		return nil, err
 	}
 	owner := ctx.DN.String()
 	if s.srv.VO().IsServerAdmin(ctx.DN) {
 		owner = "" // admins see the whole table
 	}
-	jobs, err := s.List(owner, state)
+	jobs, err := s.List(owner, state.Or(""))
 	if err != nil {
 		return nil, err
 	}
@@ -1668,22 +1617,14 @@ func (s *Service) rpcList(ctx *core.Context, p core.Params) (any, error) {
 	return out, nil
 }
 
-func (s *Service) rpcCancel(ctx *core.Context, p core.Params) (any, error) {
-	id, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) rpcCancel(ctx *core.Context, id string) (bool, error) {
 	if _, err := s.authorized(ctx, id); err != nil {
-		return nil, err
+		return false, err
 	}
 	return s.Cancel(id)
 }
 
-func (s *Service) rpcOutput(ctx *core.Context, p core.Params) (any, error) {
-	id, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) rpcOutput(ctx *core.Context, id string) (map[string]any, error) {
 	j, err := s.authorized(ctx, id)
 	if err != nil {
 		return nil, err
@@ -1701,21 +1642,14 @@ func (s *Service) rpcOutput(ctx *core.Context, p core.Params) (any, error) {
 	}, nil
 }
 
-func (s *Service) rpcDelete(ctx *core.Context, p core.Params) (any, error) {
-	id, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) rpcDelete(ctx *core.Context, id string) (bool, error) {
 	if _, err := s.authorized(ctx, id); err != nil {
-		return nil, err
+		return false, err
 	}
-	if err := s.Delete(id); err != nil {
-		return nil, err
-	}
-	return true, nil
+	return true, s.Delete(id)
 }
 
-func (s *Service) rpcStats(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) rpcStats(ctx *core.Context) (map[string]any, error) {
 	sn := s.Stats()
 	return map[string]any{
 		"queued":           sn.Queued,

@@ -1,6 +1,7 @@
 package jobsvc
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -1038,5 +1039,48 @@ func TestCompleteRemoteHonorsCancelFlag(t *testing.T) {
 	}
 	if sn := s.Stats(); sn.Cancelled != 1 || sn.Done != 0 {
 		t.Errorf("stats = %+v", sn)
+	}
+}
+
+// TestWaitParksOnStateEvents: a waiter on a gated job returns the
+// terminal record once the gate opens, and every way out of a wait —
+// return, timeout, cancellation — leaves no subscription behind.
+func TestWaitParksOnStateEvents(t *testing.T) {
+	srv := testServer(t, "")
+	g := &gateExec{gate: make(chan struct{})}
+	s := newService(t, srv, Config{Workers: 1}, g.exec)
+	subscribers := func() float64 { return srv.Telemetry().GaugeValues()["clarens.pubsub.subscribers"] }
+	base := subscribers()
+	whenParked := func(f func()) {
+		go func() {
+			for subscribers() == base {
+				time.Sleep(time.Millisecond)
+			}
+			f()
+		}()
+	}
+	j, err := s.Submit(alice, "long", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A timeout, then a cancellation, while the job is still running.
+	if got, _ := s.waitTerminal(context.Background(), j.ID, 20*time.Millisecond); Terminal(got.State) {
+		t.Fatalf("state %s before the gate opened", got.State)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	whenParked(cancel)
+	if got, _ := s.waitTerminal(ctx, j.ID, time.Minute); Terminal(got.State) {
+		t.Fatalf("state %s before the gate opened", got.State)
+	}
+	if n := subscribers(); n != base {
+		t.Fatalf("subscribers %v after timeout and cancellation, want %v", n, base)
+	}
+	whenParked(func() { close(g.gate) })
+	got, err := s.Wait(j.ID, time.Minute) // returns once the gate opens
+	if err != nil || got.State != StateDone {
+		t.Fatalf("wait = %+v, %v", got, err)
+	}
+	if n := subscribers(); n != base {
+		t.Errorf("subscribers %v after return, want %v", n, base)
 	}
 }

@@ -69,39 +69,34 @@ func (s *Service) Name() string { return "message" }
 func (s *Service) Methods() []core.Method {
 	return []core.Method{
 		{
-			Name:      "message.send",
-			Help:      "Queue a message for a DN: send(to_dn, subject, body); returns the message id.",
-			Signature: []string{"string string string string"},
-			Public:    true,
-			Handler:   s.send,
+			Name:   "message.send",
+			Help:   "Queue a message for a DN: send(to_dn, subject, body); returns the message id.",
+			Public: true,
+			Func:   core.Func3(s.send),
 		},
 		{
-			Name:      "message.poll",
-			Help:      "Return (and keep) the caller's queued messages, oldest first. Optional parameter: max count.",
-			Signature: []string{"array int"},
-			Public:    true,
-			Handler:   s.poll,
+			Name:   "message.poll",
+			Help:   "Return (and keep) the caller's queued messages, oldest first. Optional parameter: max count.",
+			Public: true,
+			Func:   core.Func1(s.poll),
 		},
 		{
-			Name:      "message.wait",
-			Help:      "Long-poll: like message.poll but blocks up to `timeout_ms` for a message to arrive.",
-			Signature: []string{"array int int"},
-			Public:    true,
-			Handler:   s.wait,
+			Name:   "message.wait",
+			Help:   "Long-poll: like message.poll but blocks up to `timeout_ms` for a message to arrive.",
+			Public: true,
+			Func:   core.Func2(s.wait),
 		},
 		{
-			Name:      "message.ack",
-			Help:      "Acknowledge (delete) a delivered message by id.",
-			Signature: []string{"boolean string"},
-			Public:    true,
-			Handler:   s.ack,
+			Name:   "message.ack",
+			Help:   "Acknowledge (delete) a delivered message by id.",
+			Public: true,
+			Func:   core.Func1(s.ack),
 		},
 		{
-			Name:      "message.count",
-			Help:      "Number of messages queued for the caller.",
-			Signature: []string{"int"},
-			Public:    true,
-			Handler:   s.count,
+			Name:   "message.count",
+			Help:   "Number of messages queued for the caller.",
+			Public: true,
+			Func:   core.Func0(s.count),
 		},
 	}
 }
@@ -183,27 +178,15 @@ func (s *Service) Ack(dn pki.DN, id string) (bool, error) {
 	return false, nil
 }
 
-func (s *Service) send(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) send(ctx *core.Context, toStr, subject string, body core.Opt[string]) (string, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
-		return nil, err
-	}
-	toStr, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	subject, err := p.String(1)
-	if err != nil {
-		return nil, err
-	}
-	body, err := p.OptString(2, "")
-	if err != nil {
-		return nil, err
+		return "", err
 	}
 	to, perr := pki.ParseDN(toStr)
 	if perr != nil {
-		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: perr.Error()}
+		return "", &rpc.Fault{Code: rpc.CodeInvalidParams, Message: perr.Error()}
 	}
-	return s.Send(ctx.DN, to, subject, body)
+	return s.Send(ctx.DN, to, subject, body.Or(""))
 }
 
 func messageStruct(m Message) map[string]any {
@@ -216,94 +199,6 @@ func messageStruct(m Message) map[string]any {
 	}
 }
 
-func (s *Service) poll(ctx *core.Context, p core.Params) (any, error) {
-	if err := ctx.RequireAuthenticated(); err != nil {
-		return nil, err
-	}
-	max, err := p.OptInt(0, 0)
-	if err != nil {
-		return nil, err
-	}
-	msgs, err := s.Queue(ctx.DN, max)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]any, len(msgs))
-	for i, m := range msgs {
-		out[i] = messageStruct(m)
-	}
-	return out, nil
-}
-
-func (s *Service) wait(ctx *core.Context, p core.Params) (any, error) {
-	if err := ctx.RequireAuthenticated(); err != nil {
-		return nil, err
-	}
-	max, err := p.OptInt(0, 0)
-	if err != nil {
-		return nil, err
-	}
-	timeoutMS, err := p.OptInt(1, 30000)
-	if err != nil {
-		return nil, err
-	}
-	if timeoutMS > 120000 {
-		timeoutMS = 120000
-	}
-	deadline := time.Now().Add(time.Duration(timeoutMS) * time.Millisecond)
-	// Fast path: messages already queued are returned without arming any
-	// waiter state — nothing to register, nothing to leak.
-	msgs, err := s.Queue(ctx.DN, max)
-	if err != nil {
-		return nil, err
-	}
-	if len(msgs) > 0 {
-		return messageStructs(msgs), nil
-	}
-	// Park on the event bus. Subscribing BEFORE the re-check closes the
-	// old missed-wakeup window: a message landing between the fast path
-	// and here is either seen by the re-check or delivered on the
-	// subscription — never both missed. Cancel on every exit, so no
-	// waiter outlives its call (the old waiter list leaked an armed
-	// channel whenever the re-check returned messages).
-	dn := ctx.DN.String()
-	sub := s.srv.Events().Subscribe("message.wait:"+dn, func(ev *pubsub.Event) bool {
-		return ev.Type == EventDelivered && ev.Tags["to"] == dn
-	}, 16)
-	defer sub.Cancel()
-	for {
-		msgs, err := s.Queue(ctx.DN, max)
-		if err != nil {
-			return nil, err
-		}
-		if len(msgs) > 0 {
-			return messageStructs(msgs), nil
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return []any{}, nil
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case _, ok := <-sub.Events():
-			timer.Stop()
-			if !ok {
-				// Bus closed: the server is shutting down; answer like a
-				// timeout so clients simply retry.
-				return []any{}, nil
-			}
-		case <-timer.C:
-			return []any{}, nil
-		case <-ctx.Done():
-			// Request cancelled or method deadline hit mid-poll: end the
-			// long poll with the same empty answer as a timeout, so
-			// clients that outlive the server-side bound simply retry.
-			timer.Stop()
-			return []any{}, nil
-		}
-	}
-}
-
 func messageStructs(msgs []Message) []any {
 	out := make([]any, len(msgs))
 	for i, m := range msgs {
@@ -312,28 +207,55 @@ func messageStructs(msgs []Message) []any {
 	return out
 }
 
-func (s *Service) ack(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) poll(ctx *core.Context, max core.Opt[int]) ([]any, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
 		return nil, err
 	}
-	id, err := p.String(0)
+	msgs, err := s.Queue(ctx.DN, max.Or(0))
 	if err != nil {
 		return nil, err
 	}
-	ok, err := s.Ack(ctx.DN, id)
-	if err != nil {
-		return nil, err
-	}
-	return ok, nil
+	return messageStructs(msgs), nil
 }
 
-func (s *Service) count(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) wait(ctx *core.Context, maxArg, timeoutArg core.Opt[int]) ([]any, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
 		return nil, err
+	}
+	max, timeoutMS := maxArg.Or(0), min(timeoutArg.Or(30000), 120000)
+	// Park on the event bus. A request cancelled or a method deadline hit
+	// mid-poll, a timeout, and a bus closed by server shutdown all end the
+	// long poll with what the queue holds then (usually nothing), so
+	// clients simply retry.
+	var msgs []Message
+	var err error
+	dn := ctx.DN.String()
+	s.srv.Events().Await(ctx, "message.wait:"+dn, func(ev *pubsub.Event) bool {
+		return ev.Type == EventDelivered && ev.Tags["to"] == dn
+	}, time.Duration(timeoutMS)*time.Millisecond, func() bool {
+		msgs, err = s.Queue(ctx.DN, max)
+		return err != nil || len(msgs) > 0
+	})
+	if err != nil {
+		return nil, err
+	}
+	return messageStructs(msgs), nil
+}
+
+func (s *Service) ack(ctx *core.Context, id string) (bool, error) {
+	if err := ctx.RequireAuthenticated(); err != nil {
+		return false, err
+	}
+	return s.Ack(ctx.DN, id)
+}
+
+func (s *Service) count(ctx *core.Context) (int, error) {
+	if err := ctx.RequireAuthenticated(); err != nil {
+		return 0, err
 	}
 	msgs, err := s.Queue(ctx.DN, 0)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	return len(msgs), nil
 }

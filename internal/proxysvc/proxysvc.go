@@ -91,66 +91,57 @@ func (s *Service) Name() string { return "proxy" }
 func (s *Service) Methods() []core.Method {
 	return []core.Method{
 		{
-			Name:      "proxy.store",
-			Help:      "Store a proxy credential (PEM bundle: proxy cert, chain, unencrypted key) sealed under a password. The proxy subject must match the caller or the caller must be an administrator.",
-			Signature: []string{"boolean base64 string"},
-			Public:    true,
-			Handler:   s.store,
+			Name:   "proxy.store",
+			Help:   "Store a proxy credential (PEM bundle: proxy cert, chain, unencrypted key) sealed under a password. The proxy subject must match the caller or the caller must be an administrator.",
+			Public: true,
+			Func:   core.Func2(s.store),
 		},
 		{
-			Name:      "proxy.retrieve",
-			Help:      "Retrieve the caller's stored proxy PEM bundle with the password used to store it (delegation: administrators may retrieve any DN's proxy with its password).",
-			Signature: []string{"base64 string string"},
-			Public:    true,
-			Handler:   s.retrieve,
+			Name:   "proxy.retrieve",
+			Help:   "Retrieve the caller's stored proxy PEM bundle with the password used to store it (delegation: administrators may retrieve any DN's proxy with its password).",
+			Public: true,
+			Func:   core.Func2(s.retrieve),
 		},
 		{
-			Name:      "proxy.login",
-			Help:      "Create a session knowing only a DN and the proxy password; returns the session token.",
-			Signature: []string{"string string string"},
-			Public:    true,
-			Handler:   s.login,
+			Name:   "proxy.login",
+			Help:   "Create a session knowing only a DN and the proxy password; returns the session token.",
+			Public: true,
+			Func:   core.Func2(s.login),
 		},
 		{
-			Name:      "proxy.attach",
-			Help:      "Attach the stored proxy to the current session (renewal / delegation for sessions started without a proxy).",
-			Signature: []string{"boolean string"},
-			Public:    true,
-			Handler:   s.attach,
+			Name:   "proxy.attach",
+			Help:   "Attach the stored proxy to the current session (renewal / delegation for sessions started without a proxy).",
+			Public: true,
+			Func:   core.Func1(s.attach),
 		},
 		{
-			Name:      "proxy.delete",
-			Help:      "Delete the caller's stored proxy (requires the password).",
-			Signature: []string{"boolean string"},
-			Public:    true,
-			Handler:   s.del,
+			Name:   "proxy.delete",
+			Help:   "Delete the caller's stored proxy (requires the password).",
+			Public: true,
+			Func:   core.Func1(s.del),
 		},
 		{
-			Name:      "proxy.info",
-			Help:      "Return {stored, expires} metadata for the caller's stored proxy.",
-			Signature: []string{"struct"},
-			Public:    true,
-			Handler:   s.info,
+			Name:   "proxy.info",
+			Help:   "Return {stored, expires} metadata for the caller's stored proxy.",
+			Public: true,
+			Func:   core.Func0(s.info),
 		},
 		{
-			Name:      "proxy.delegate",
-			Help:      "Mint a one-time delegation secret for the caller's DN, valid ttl_s seconds (default 120): delegate([ttl_s]). Present it to a peer server's proxy.login_delegated to act as the caller there.",
-			Signature: []string{"string int"},
-			Handler:   s.rpcDelegate,
+			Name: "proxy.delegate",
+			Help: "Mint a one-time delegation secret for the caller's DN, valid ttl_s seconds (default 120): delegate([ttl_s]). Present it to a peer server's proxy.login_delegated to act as the caller there.",
+			Func: core.Func1(s.rpcDelegate),
 		},
 		{
-			Name:      "proxy.check_delegation",
-			Help:      "Validate and consume a one-time delegation secret minted by this server: check_delegation(dn, secret). Called back by peer servers during delegated login.",
-			Signature: []string{"boolean string string"},
-			Public:    true,
-			Handler:   s.rpcCheckDelegation,
+			Name:   "proxy.check_delegation",
+			Help:   "Validate and consume a one-time delegation secret minted by this server: check_delegation(dn, secret). Called back by peer servers during delegated login.",
+			Public: true,
+			Func:   core.Func2(s.rpcCheckDelegation),
 		},
 		{
-			Name:      "proxy.login_delegated",
-			Help:      "Create a session for dn from a delegation secret: login_delegated(dn, secret, [issuer_url]). With an issuer URL the secret is verified by calling the issuer back (the issuer must be on this server's configured allowlist); without one the secret must have been minted locally. Returns the session token.",
-			Signature: []string{"string string string string"},
-			Public:    true,
-			Handler:   s.rpcLoginDelegated,
+			Name:   "proxy.login_delegated",
+			Help:   "Create a session for dn from a delegation secret: login_delegated(dn, secret, [issuer_url]). With an issuer URL the secret is verified by calling the issuer back (the issuer must be on this server's configured allowlist); without one the secret must have been minted locally. Returns the session token.",
+			Public: true,
+			Func:   core.Func3(s.rpcLoginDelegated),
 		},
 	}
 }
@@ -237,78 +228,50 @@ func (s *Service) sweepDelegations(now time.Time) {
 	}
 }
 
-func (s *Service) rpcDelegate(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) rpcDelegate(ctx *core.Context, ttl core.Opt[int]) (string, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
-		return nil, err
+		return "", err
 	}
-	ttlS, err := p.OptInt(0, int(DefaultDelegationTTL.Seconds()))
-	if err != nil {
-		return nil, err
-	}
-	if ttlS < 1 {
-		ttlS = 1
-	}
-	if ttlS > 3600 {
-		ttlS = 3600
-	}
+	ttlS := min(max(ttl.Or(int(DefaultDelegationTTL.Seconds())), 1), 3600)
 	return s.IssueDelegation(ctx.DN, time.Duration(ttlS)*time.Second)
 }
 
-func (s *Service) rpcCheckDelegation(ctx *core.Context, p core.Params) (any, error) {
-	dnStr, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	secret, err := p.String(1)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) rpcCheckDelegation(ctx *core.Context, dnStr, secret string) (bool, error) {
 	return s.CheckDelegation(dnStr, secret), nil
 }
 
-func (s *Service) rpcLoginDelegated(ctx *core.Context, p core.Params) (any, error) {
-	dnStr, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	secret, err := p.String(1)
-	if err != nil {
-		return nil, err
-	}
-	issuer, err := p.OptString(2, "")
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) rpcLoginDelegated(ctx *core.Context, dnStr, secret string, issuerArg core.Opt[string]) (string, error) {
+	issuer := issuerArg.Or("")
 	dn, perr := pki.ParseDN(dnStr)
 	if perr != nil {
-		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: perr.Error()}
+		return "", &rpc.Fault{Code: rpc.CodeInvalidParams, Message: perr.Error()}
 	}
 	if issuer == "" {
 		if !s.CheckDelegation(dnStr, secret) {
-			return nil, &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "proxy: delegation not recognized (expired, consumed, or never issued)"}
+			return "", &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "proxy: delegation not recognized (expired, consumed, or never issued)"}
 		}
 	} else {
 		if s.TrustIssuer == nil || !s.TrustIssuer(issuer) {
-			return nil, &rpc.Fault{Code: rpc.CodeAccessDenied, Message: "proxy: delegation issuer is not on this server's trusted-issuer allowlist"}
+			return "", &rpc.Fault{Code: rpc.CodeAccessDenied, Message: "proxy: delegation issuer is not on this server's trusted-issuer allowlist"}
 		}
 		if s.VerifyRemote == nil {
-			return nil, &rpc.Fault{Code: rpc.CodeApplication, Message: "proxy: remote delegation verification not configured"}
+			return "", &rpc.Fault{Code: rpc.CodeApplication, Message: "proxy: remote delegation verification not configured"}
 		}
 		ok, err := s.VerifyRemote(issuer, dnStr, secret)
 		if err != nil {
-			return nil, &rpc.Fault{Code: rpc.CodeApplication, Message: "proxy: delegation issuer unreachable: " + err.Error()}
+			return "", &rpc.Fault{Code: rpc.CodeApplication, Message: "proxy: delegation issuer unreachable: " + err.Error()}
 		}
 		if !ok {
-			return nil, &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "proxy: issuer refused the delegation"}
+			return "", &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "proxy: issuer refused the delegation"}
 		}
 	}
 	sess, err := s.srv.NewSessionFor(dn)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if issuer != "" {
 		if err := s.srv.Sessions().SetAttr(sess.ID, DelegatedIssuerAttr, issuer); err != nil {
-			return nil, err
+			return "", err
 		}
 	}
 	return sess.ID, nil
@@ -362,40 +325,24 @@ func (s *Service) Retrieve(dn pki.DN, password string) ([]byte, error) {
 	return pem, nil
 }
 
-func (s *Service) store(ctx *core.Context, p core.Params) (any, error) {
-	pemBundle, err := p.Bytes(0)
-	if err != nil {
-		return nil, err
-	}
-	password, err := p.String(1)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) store(ctx *core.Context, pemBundle []byte, password string) (bool, error) {
 	owner, err := s.Store(pemBundle, password)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	// The proxy's user must be the caller (or an admin storing on behalf;
 	// anonymous callers may store a proxy for its own subject — that is
 	// exactly the browser-less bootstrap the paper supports).
 	if ctx.Authenticated() && !owner.Equal(ctx.DN) && !s.srv.VO().IsServerAdmin(ctx.DN) {
 		s.srv.Store().Delete(bucket, owner.String())
-		return nil, &rpc.Fault{Code: rpc.CodeAccessDenied, Message: "proxy: subject does not match caller"}
+		return false, &rpc.Fault{Code: rpc.CodeAccessDenied, Message: "proxy: subject does not match caller"}
 	}
 	return true, nil
 }
 
-func (s *Service) retrieve(ctx *core.Context, p core.Params) (any, error) {
-	password, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) retrieve(ctx *core.Context, password string, owner core.Opt[string]) ([]byte, error) {
 	dn := ctx.DN
-	if len(p) > 1 {
-		dnStr, err := p.String(1)
-		if err != nil {
-			return nil, err
-		}
+	if dnStr, ok := owner.Get(); ok {
 		other, perr := pki.ParseDN(dnStr)
 		if perr != nil {
 			return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: perr.Error()}
@@ -408,80 +355,54 @@ func (s *Service) retrieve(ctx *core.Context, p core.Params) (any, error) {
 	if dn.IsZero() {
 		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: "proxy: no DN given and caller anonymous"}
 	}
-	pem, err := s.Retrieve(dn, password)
-	if err != nil {
-		return nil, err
-	}
-	return pem, nil
+	return s.Retrieve(dn, password)
 }
 
-func (s *Service) login(ctx *core.Context, p core.Params) (any, error) {
-	dnStr, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
-	password, err := p.String(1)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) login(ctx *core.Context, dnStr, password string) (string, error) {
 	dn, perr := pki.ParseDN(dnStr)
 	if perr != nil {
-		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: perr.Error()}
+		return "", &rpc.Fault{Code: rpc.CodeInvalidParams, Message: perr.Error()}
 	}
 	// Unsealing proves knowledge of the password; the stored proxy proves
 	// the DN held a valid credential when it was stored.
 	if _, err := s.Retrieve(dn, password); err != nil {
-		return nil, err
+		return "", err
 	}
 	sess, err := s.srv.NewSessionFor(dn)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if err := s.srv.Sessions().SetAttr(sess.ID, AttachedProxyAttr, dn.String()); err != nil {
-		return nil, err
+		return "", err
 	}
 	return sess.ID, nil
 }
 
-func (s *Service) attach(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) attach(ctx *core.Context, password string) (bool, error) {
 	if ctx.Session == nil {
-		return nil, &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "proxy: no current session to attach to"}
-	}
-	password, err := p.String(0)
-	if err != nil {
-		return nil, err
+		return false, &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "proxy: no current session to attach to"}
 	}
 	if _, err := s.Retrieve(ctx.DN, password); err != nil {
-		return nil, err
+		return false, err
 	}
 	if err := s.srv.Sessions().SetAttr(ctx.Session.ID, AttachedProxyAttr, ctx.DN.String()); err != nil {
-		return nil, err
+		return false, err
 	}
 	// Attaching also renews the session, as the paper describes.
-	if err := s.srv.Sessions().Touch(ctx.Session.ID); err != nil {
-		return nil, err
-	}
-	return true, nil
+	return true, s.srv.Sessions().Touch(ctx.Session.ID)
 }
 
-func (s *Service) del(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) del(ctx *core.Context, password string) (bool, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
-		return nil, err
-	}
-	password, err := p.String(0)
-	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if _, err := s.Retrieve(ctx.DN, password); err != nil {
-		return nil, err
+		return false, err
 	}
-	if err := s.srv.Store().Delete(bucket, ctx.DN.String()); err != nil {
-		return nil, err
-	}
-	return true, nil
+	return true, s.srv.Store().Delete(bucket, ctx.DN.String())
 }
 
-func (s *Service) info(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) info(ctx *core.Context) (map[string]any, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@
 package pubsub
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,6 +141,32 @@ func (b *Bus) Subscribe(name string, match func(*Event) bool, buf int) *Subscrip
 	}
 	b.mu.Unlock()
 	return s
+}
+
+// Await is the long-poll primitive: it parks until ready reports true.
+// It subscribes before the first check, so an event published between
+// a check and the park is never missed, and re-checks on every delivery
+// (lag markers included) and once more when timeout elapses, ctx ends
+// or the bus closes. The subscription ends when Await returns.
+func (b *Bus) Await(ctx context.Context, name string, match func(*Event) bool, timeout time.Duration, ready func() bool) {
+	// A waiter only needs to learn that something happened: the
+	// smallest buffer (an event plus its lag marker) is enough.
+	sub := b.Subscribe(name, match, 2)
+	defer sub.Cancel()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for !ready() {
+		select {
+		case _, ok := <-sub.Events():
+			if ok {
+				continue
+			}
+		case <-timer.C:
+		case <-ctx.Done():
+		}
+		ready()
+		return
+	}
 }
 
 // Close shuts the bus down: all subscription channels are closed and

@@ -54,27 +54,25 @@ func (s *Service) Name() string { return "shell" }
 func (s *Service) Methods() []core.Method {
 	return []core.Method{
 		{
-			Name:      "shell.cmd",
-			Help:      "Execute a command line in the caller's sandbox as the mapped local user; returns {stdout, stderr, exit_code, user, sandbox}.",
-			Signature: []string{"struct string"},
-			Handler:   s.cmd,
+			Name: "shell.cmd",
+			Help: "Execute a command line in the caller's sandbox as the mapped local user; returns {stdout, stderr, exit_code, user, sandbox}.",
+			Func: core.Func1(s.cmd),
 		},
 		{
-			Name:      "shell.cmd_info",
-			Help:      "Return the caller's mapped local user, sandbox top directory (usable with file.* methods), and the available commands.",
-			Signature: []string{"struct"},
-			Handler:   s.cmdInfo,
+			Name: "shell.cmd_info",
+			Help: "Return the caller's mapped local user, sandbox top directory (usable with file.* methods), and the available commands.",
+			Func: core.Func0(s.cmdInfo),
 		},
 		{
-			Name:      "shell.whoami_local",
-			Help:      "Return the local system user the caller's DN maps to.",
-			Signature: []string{"string"},
-			Handler:   s.whoamiLocal,
+			Name: "shell.whoami_local",
+			Help: "Return the local system user the caller's DN maps to.",
+			Func: core.Func0(s.resolveUser),
 		},
 	}
 }
 
-// resolveUser maps the caller to a local user or faults.
+// resolveUser maps the caller to a local user or faults; it is also
+// shell.whoami_local.
 func (s *Service) resolveUser(ctx *core.Context) (string, error) {
 	if err := ctx.RequireAuthenticated(); err != nil {
 		return "", err
@@ -248,11 +246,7 @@ func (s *Service) CollectInto(dn pki.DN, patterns []string, destDir string, file
 	return staged, skipped, nil
 }
 
-func (s *Service) cmd(ctx *core.Context, p core.Params) (any, error) {
-	line, err := p.String(0)
-	if err != nil {
-		return nil, err
-	}
+func (s *Service) cmd(ctx *core.Context, line string) (map[string]any, error) {
 	res, user, err := s.ExecAs(ctx.DN, line)
 	if err != nil {
 		return nil, err
@@ -287,7 +281,7 @@ func (s *Service) realExec(line, sandbox string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func (s *Service) cmdInfo(ctx *core.Context, p core.Params) (any, error) {
+func (s *Service) cmdInfo(ctx *core.Context) (map[string]any, error) {
 	user, err := s.resolveUser(ctx)
 	if err != nil {
 		return nil, err
@@ -301,14 +295,6 @@ func (s *Service) cmdInfo(ctx *core.Context, p core.Params) (any, error) {
 		"commands":  BuiltinCommands(),
 		"real_exec": s.AllowRealExec,
 	}, nil
-}
-
-func (s *Service) whoamiLocal(ctx *core.Context, p core.Params) (any, error) {
-	user, err := s.resolveUser(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return user, nil
 }
 
 var _ core.Service = (*Service)(nil)
