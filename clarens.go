@@ -563,7 +563,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// URL and mint sessions for arbitrary DNs. Without federation both
 	// hooks stay nil and proxysvc refuses every remote issuer.
 	// Verification calls the allowlisted issuer's proxy.check_delegation
-	// back over the issuer's pooled peer client.
+	// back on a client dialed for that one call.
 	if s.Proxies != nil && cfg.EnableFederation {
 		s.Proxies.TrustIssuer = s.issuerTrusted
 		s.Proxies.VerifyRemote = verifyDelegationRemote

@@ -2,77 +2,19 @@ package clarens
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"clarens/internal/metasched"
 )
 
-// This file adapts the public Client to the meta-scheduler's Conn
-// interface. The scheduler carries a session token per call (one
-// connection serves many delegated identities); per-call tokens ride a
-// ContextWithSession override, so a single pooled, HTTP/2-multiplexed
-// client per peer carries all of the scheduler's control traffic —
-// stats polls, batched submissions, status sweeps — concurrently,
-// instead of serializing on a client-level SetSession or re-dialing
-// per adapter.
+// This file adapts the public Client to the meta-scheduler's Conn and
+// EventStream interfaces. Each server's scheduler keeps one Client per
+// peer URL; per-call session tokens ride a ContextWithSession override,
+// so that one HTTP/2-multiplexed client carries all of the scheduler's
+// control traffic to a peer — stats polls, batched submissions, status
+// sweeps — for every delegated identity at once.
 
-// peerPool shares one Client per peer URL across every federation
-// consumer in the process (metasched Conn adapters, the delegation
-// verification callback). Entries are refcounted; the last release
-// closes the client's idle connections and drops the entry, so
-// discovery churn cannot grow the pool without bound.
-var peerPool = struct {
-	sync.Mutex
-	m map[string]*peerEntry
-}{m: map[string]*peerEntry{}}
-
-type peerEntry struct {
-	c    *Client
-	refs int
-}
-
-// acquirePeer returns the process-wide client for a peer URL, dialing
-// on first use. Every acquire must be paired with one releasePeer.
-func acquirePeer(url string) (*Client, error) {
-	peerPool.Lock()
-	defer peerPool.Unlock()
-	if e, ok := peerPool.m[url]; ok {
-		e.refs++
-		return e.c, nil
-	}
-	// Peer calls are control traffic: a short timeout keeps a dead peer
-	// from stalling the scheduler loop, and a small connection cap is
-	// plenty — over h2 one connection multiplexes all concurrent calls.
-	c, err := Dial(url, WithTimeout(5*time.Second), WithMaxConns(8))
-	if err != nil {
-		return nil, err
-	}
-	peerPool.m[url] = &peerEntry{c: c, refs: 1}
-	return c, nil
-}
-
-// releasePeer drops one reference; the last one evicts and closes.
-func releasePeer(url string) {
-	peerPool.Lock()
-	e, ok := peerPool.m[url]
-	if ok {
-		if e.refs--; e.refs <= 0 {
-			delete(peerPool.m, url)
-		} else {
-			e = nil
-		}
-	}
-	peerPool.Unlock()
-	if e != nil {
-		e.c.Close()
-	}
-}
-
-type federationConn struct {
-	url string
-	c   *Client
-}
+type federationConn struct{ c *Client }
 
 func (a *federationConn) Call(token, trace, method string, params ...any) (any, error) {
 	ctx := context.Background()
@@ -108,35 +50,33 @@ func (a *federationConn) Batch(token string, calls []metasched.Call) ([]metasche
 	return out, nil
 }
 
-// Close implements the scheduler's discard-after-failure semantics:
-// the shared client's idle (possibly broken) connections are torn down
-// so the next use dials fresh — which, with the client session cache,
-// resumes the TLS session instead of full-handshaking — and this
-// adapter's pool reference is dropped.
-func (a *federationConn) Close() {
-	a.c.Close()
-	releasePeer(a.url)
-}
+// Close implements the scheduler's discard-after-failure semantics: the
+// client's idle (possibly broken) connections are torn down, and the
+// scheduler dials a fresh client on next use.
+func (a *federationConn) Close() { a.c.Close() }
 
-// federationDialer opens peer connections for the meta-scheduler,
-// backed by the process-wide per-peer client pool.
+// federationDialer opens a peer connection for the meta-scheduler. Peer
+// calls are control traffic: a short timeout keeps a dead peer from
+// stalling the scheduler loop, and a small connection cap is plenty —
+// over h2 one connection multiplexes all concurrent calls.
 func federationDialer(url string) (metasched.Conn, error) {
-	c, err := acquirePeer(url)
+	c, err := Dial(url, WithTimeout(5*time.Second), WithMaxConns(8))
 	if err != nil {
 		return nil, err
 	}
-	return &federationConn{url: url, c: c}, nil
+	return &federationConn{c: c}, nil
 }
 
 // verifyDelegationRemote asks an allowlisted issuer's
-// proxy.check_delegation whether it vouches for (dn, secret), over the
-// issuer's pooled peer client rather than a throwaway dial per check.
+// proxy.check_delegation whether it vouches for (dn, secret). It dials
+// for its one call: a check runs once per delegated login, and the
+// issuing scheduler caches the resulting session per (peer, owner).
 func verifyDelegationRemote(issuerURL, dn, secret string) (bool, error) {
-	c, err := acquirePeer(issuerURL)
+	c, err := Dial(issuerURL, WithTimeout(5*time.Second), WithMaxConns(1))
 	if err != nil {
 		return false, err
 	}
-	defer releasePeer(issuerURL)
+	defer c.Close()
 	return c.CallBool("proxy.check_delegation", dn, secret)
 }
 
@@ -163,8 +103,8 @@ func (f *fedEventStream) Close() error {
 // under the owner's delegated session, so forwarded jobs report their
 // transitions by push instead of being batch-polled. An error (peer
 // without /ws, typically) makes the scheduler fall back to polling.
-// These stay per-(peer, owner) dedicated clients: /ws rides a hijacked
-// HTTP/1.1 connection that cannot multiplex, so pooling buys nothing.
+// Each stream has its own client: /ws rides a hijacked HTTP/1.1
+// connection that cannot multiplex.
 func federationEventDialer(rpcURL, token, query string) (metasched.EventStream, error) {
 	c, err := Dial(rpcURL, WithTimeout(5*time.Second), WithSession(token), WithMaxConns(2))
 	if err != nil {

@@ -301,8 +301,10 @@ type RemoteController interface {
 	// means the peer could not be reached; callers fall back to the
 	// local mirror.
 	Refresh(j *Job) (*Job, error)
-	// CancelRemote asks the executing peer to cancel the job.
-	CancelRemote(j *Job) (bool, error)
+	// CancelRemote asks the executing peer to cancel the job. It reports
+	// nothing: the job's cancel flag is already set, and a relay that
+	// fails is the controller's to log.
+	CancelRemote(j *Job)
 }
 
 // Service is the job scheduler and its RPC surface.

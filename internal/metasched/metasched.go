@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -129,22 +130,15 @@ type Config struct {
 	// PollInterval is the control-loop period: peer load polls, remote
 	// watches, and forwarding decisions all run on it (default 2s).
 	PollInterval time.Duration
-	// MaxForward caps jobs forwarded to one peer in one cycle
-	// (default 16).
-	MaxForward int
-	// DelegationTTL bounds the validity of the one-time delegation
-	// secrets minted for forwarding (default 2m).
-	DelegationTTL time.Duration
 	// DeadPolls is how many consecutive failed remote-watch polls a
 	// forwarded job tolerates before falling back to the local queue
 	// (default 3).
 	DeadPolls int
-	// Breaker tunes the per-peer circuit breakers that replace the old
-	// ad-hoc penalty counter: transport failures trip a peer's breaker,
-	// a failed forward or delegation handoff force-opens it, and while
-	// open the peer is skipped by forwarding and polled only by the
-	// half-open recovery probe. A zero OpenFor defaults to
-	// 5x PollInterval — the old PenaltyCycles sit-out expressed in time.
+	// Breaker tunes the per-peer circuit breakers: transport failures
+	// trip a peer's breaker, a failed forward or delegation handoff
+	// force-opens it, and while open the peer is skipped by forwarding
+	// and polled only by the half-open recovery probe. A zero OpenFor
+	// defaults to 5x PollInterval.
 	Breaker resilience.BreakerConfig
 	// Telemetry, when set, exports the per-peer breaker states
 	// (clarens.federation.breaker.<peer>: 0 closed, 0.5 half-open,
@@ -157,16 +151,15 @@ type Config struct {
 	Spans *telemetry.SpanStore
 	// EventDial, when set, lets the watch loop subscribe to peer job
 	// events over /ws instead of batch-polling job.status every cycle:
-	// push-covered jobs are only polled once when the subscription is
-	// established, once when a terminal event arrives (to pull the
-	// result back), and on the safety-net interval. Nil keeps the pure
-	// polling behavior.
+	// push-covered jobs are polled in full when a subscription starts or
+	// reports a gap, singly when their terminal event arrives, and
+	// otherwise only by a safety sweep every 15 poll intervals (at least
+	// 2s). Nil keeps the pure polling behavior.
 	EventDial EventDialer
-	// WatchSafetyInterval is how often a push-covered remote job is
-	// still status-polled as a safety net against missed events
-	// (default 15x PollInterval, min 2s).
-	WatchSafetyInterval time.Duration
 }
+
+// maxForward caps the jobs forwarded to one peer in one cycle.
+const maxForward = 16
 
 func (c *Config) fill() {
 	if c.Pressure == 0 {
@@ -177,23 +170,11 @@ func (c *Config) fill() {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 2 * time.Second
 	}
-	if c.MaxForward <= 0 {
-		c.MaxForward = 16
-	}
-	if c.DelegationTTL <= 0 {
-		c.DelegationTTL = proxysvc.DefaultDelegationTTL
-	}
 	if c.DeadPolls <= 0 {
 		c.DeadPolls = 3
 	}
 	if c.Breaker.OpenFor <= 0 {
 		c.Breaker.OpenFor = 5 * c.PollInterval
-	}
-	if c.WatchSafetyInterval <= 0 {
-		c.WatchSafetyInterval = 15 * c.PollInterval
-		if c.WatchSafetyInterval < 2*time.Second {
-			c.WatchSafetyInterval = 2 * time.Second
-		}
 	}
 }
 
@@ -271,10 +252,9 @@ type watchKey struct{ url, token string }
 type peerWatch struct {
 	stream EventStream
 
-	mu      sync.Mutex
-	ready   map[string]bool // remote job ids with an unconsumed terminal event
-	pollAll bool            // stream ended: next cycle polls everything once
-	lost    bool            // stream ended permanently; prune and re-dial
+	mu     sync.Mutex
+	ready  map[string]bool // remote job ids with an unconsumed terminal event
+	resync bool            // events may have been missed: poll the whole group
 }
 
 // New builds a scheduler and installs it as the job service's remote
@@ -467,6 +447,32 @@ func (s *Scheduler) conn(url string) (Conn, error) {
 	return c, nil
 }
 
+// exchange runs one round trip to the peer at url through its circuit
+// breaker and cached connection. A nil error or an RPC fault from fn
+// means the peer answered: the breaker records a success and the
+// connection stays. Any other error from fn — a transport failure or a
+// malformed reply — counts against the breaker and drops the connection
+// so the next exchange re-dials. A breaker refusal or a failed dial is
+// returned without calling fn.
+func (s *Scheduler) exchange(url string, fn func(Conn) error) error {
+	done, err := s.breakers.Allow(url)
+	if err != nil {
+		return err
+	}
+	c, err := s.conn(url)
+	if err != nil {
+		done(false)
+		return err
+	}
+	err = fn(c)
+	answered := err == nil || isFault(err)
+	done(answered)
+	if !answered {
+		s.dropConn(url)
+	}
+	return err
+}
+
 // dropConn discards a connection after transport-level failures so the
 // next use re-dials.
 func (s *Scheduler) dropConn(url string) {
@@ -531,44 +537,21 @@ func (s *Scheduler) pollPeers() {
 	}
 	s.mu.Unlock()
 	for _, p := range peers {
-		done, err := s.breakers.Allow(p.url)
-		if err != nil {
-			// Breaker open inside its cooldown: skip the peer this cycle.
-			s.setAlive(p, false)
-			continue
-		}
-		c, err := s.conn(p.url)
-		if err != nil {
-			done(false)
-			s.setAlive(p, false)
-			continue
-		}
-		v, err := c.Call("", "", "job.stats")
-		if err != nil && !isFault(err) {
-			done(false)
-			s.dropConn(p.url)
-			s.setAlive(p, false)
-			continue
-		}
-		done(true)
+		var v any
+		err := s.exchange(p.url, func(c Conn) (err error) {
+			v, err = c.Call("", "", "job.stats")
+			return err
+		})
 		st, ok := v.(map[string]any)
-		if !ok {
-			s.setAlive(p, false)
-			continue
-		}
 		s.mu.Lock()
-		p.queued, _ = rpc.CoerceInt(st["queued"])
-		p.running, _ = rpc.CoerceInt(st["running"])
-		p.workers, _ = rpc.CoerceInt(st["workers"])
-		p.alive = true
+		p.alive = err == nil && ok
+		if p.alive {
+			p.queued, _ = rpc.CoerceInt(st["queued"])
+			p.running, _ = rpc.CoerceInt(st["running"])
+			p.workers, _ = rpc.CoerceInt(st["workers"])
+		}
 		s.mu.Unlock()
 	}
-}
-
-func (s *Scheduler) setAlive(p *peer, alive bool) {
-	s.mu.Lock()
-	p.alive = alive
-	s.mu.Unlock()
 }
 
 // watchRemote tracks forwarded jobs on their executing peers, pulls
@@ -605,42 +588,37 @@ func (s *Scheduler) watchRemote() {
 	s.pruneWatches(groups)
 	for k, jobs := range groups {
 		// Establish the push subscription BEFORE polling: any transition
-		// after this point raises an event, and the initial poll below
+		// after this point raises an event, and a new watch's first sweep
 		// covers everything that happened before it. No gap.
 		w := s.ensureWatch(k)
 		due := s.pollDue(w, jobs)
 		if len(due) == 0 {
 			continue
 		}
-		// Breaker admission: an open peer still advances each job's
-		// failed-poll count, so work on a dead peer falls back through the
-		// usual DeadPolls tolerance instead of waiting out the cooldown.
-		done, err := s.breakers.Allow(k.url)
-		if err != nil {
-			s.failGroup(due, err)
-			continue
-		}
-		c, err := s.conn(k.url)
-		if err != nil {
-			done(false)
-			s.failGroup(due, err)
-			continue
-		}
 		calls := make([]Call, len(due))
 		for i, j := range due {
 			calls[i] = Call{Method: "job.status", Params: []any{j.RemoteID}, Trace: j.Trace}
 		}
-		s.mu.Lock()
-		s.stats.StatusRPCs += uint64(len(calls))
-		s.mu.Unlock()
-		results, err := c.Batch(k.token, calls)
-		if err != nil || len(results) != len(due) {
-			done(err == nil || isFault(err))
-			s.dropConn(k.url)
+		var c Conn
+		var results []Result
+		err := s.exchange(k.url, func(conn Conn) (err error) {
+			c = conn
+			s.mu.Lock()
+			s.stats.StatusRPCs += uint64(len(calls))
+			s.mu.Unlock()
+			results, err = conn.Batch(k.token, calls)
+			if err == nil && len(results) != len(calls) {
+				err = fmt.Errorf("job.status sweep: %d results for %d calls", len(results), len(calls))
+			}
+			return err
+		})
+		if err != nil {
+			// Whether refused by an open breaker or failed on the wire,
+			// each job's failed-poll count advances, so work on a dead peer
+			// falls back through the usual DeadPolls tolerance.
 			s.failGroup(due, err)
 			continue
 		}
-		done(true)
 		now := time.Now()
 		for i, r := range results {
 			j := due[i]
@@ -698,14 +676,8 @@ func (s *Scheduler) ensureWatch(k watchKey) *peerWatch {
 		return nil
 	}
 	if w, ok := s.watches[k]; ok {
-		w.mu.Lock()
-		lost := w.lost
-		w.mu.Unlock()
-		if !lost {
-			s.mu.Unlock()
-			return w
-		}
-		delete(s.watches, k)
+		s.mu.Unlock()
+		return w
 	}
 	if until, ok := s.noWS[k.url]; ok {
 		if time.Now().Before(until) {
@@ -730,7 +702,10 @@ func (s *Scheduler) ensureWatch(k watchKey) *peerWatch {
 		s.logger.Printf("metasched: no push events from %s (%v); falling back to polling", k.url, err)
 		return nil
 	}
-	w := &peerWatch{stream: st, ready: make(map[string]bool)}
+	// Whatever happened before the subscription, or between a previous
+	// one ending and this one, raised no event here: the first sweep
+	// covers the whole group.
+	w := &peerWatch{stream: st, ready: make(map[string]bool), resync: true}
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -745,7 +720,7 @@ func (s *Scheduler) ensureWatch(k watchKey) *peerWatch {
 	s.watches[k] = w
 	s.wg.Add(1)
 	s.mu.Unlock()
-	go s.runWatch(w)
+	go s.runWatch(k, w)
 	s.logger.Printf("metasched: watching %s over push events", k.url)
 	return w
 }
@@ -753,17 +728,17 @@ func (s *Scheduler) ensureWatch(k watchKey) *peerWatch {
 // runWatch drains one push subscription, marking jobs whose terminal
 // transition arrived so the next cycle polls exactly those, and nudging
 // the control loop awake for each.
-func (s *Scheduler) runWatch(w *peerWatch) {
+func (s *Scheduler) runWatch(k watchKey, w *peerWatch) {
 	defer s.wg.Done()
 	for ev := range w.stream.Events() {
 		s.mu.Lock()
 		s.stats.PushEvents++
 		s.mu.Unlock()
 		if ev.Type != "job.state" {
-			// Lag markers and anything else we cannot attribute to a
-			// specific job: poll the whole group next cycle to resync.
+			// Lag and reconnect markers, and anything else we cannot
+			// attribute to a specific job: poll the whole group next cycle.
 			w.mu.Lock()
-			w.pollAll = true
+			w.resync = true
 			w.mu.Unlock()
 			s.wake()
 			continue
@@ -781,41 +756,45 @@ func (s *Scheduler) runWatch(w *peerWatch) {
 		w.mu.Unlock()
 		s.wake()
 	}
-	// Stream over: whether the peer restarted or the server is shutting
-	// down, stop trusting push coverage for this group.
-	w.mu.Lock()
-	w.lost = true
-	w.pollAll = true
-	w.mu.Unlock()
+	// Stream over (the subscription failed permanently, was pruned, or
+	// the scheduler is stopping). Retire the watch unless someone else
+	// already did, so the next cycle dials a fresh one whose first sweep
+	// covers the gap.
+	s.mu.Lock()
+	mine := s.watches[k] == w
+	if mine {
+		delete(s.watches, k)
+	}
+	s.mu.Unlock()
+	if mine {
+		w.stream.Close()
+	}
 	s.wake()
 }
 
 // pollDue selects which of a group's jobs this cycle's status sweep
-// should cover. Without push coverage (w == nil) that is all of them;
-// with it, the jobs whose terminal event arrived, jobs never polled
-// since forwarding (covers transitions that predate the subscription),
-// and jobs past the safety-net interval.
+// should cover. Without push coverage (w == nil), or when the watch must
+// resync, that is all of them; otherwise the jobs whose terminal event
+// arrived and the jobs not polled within the safety interval (which
+// includes jobs never polled since forwarding).
 func (s *Scheduler) pollDue(w *peerWatch, jobs []*jobsvc.Job) []*jobsvc.Job {
 	if w == nil {
 		return jobs
 	}
 	w.mu.Lock()
-	pollAll := w.pollAll
-	w.pollAll = false
-	ready := make(map[string]bool, len(w.ready))
-	for id := range w.ready {
-		ready[id] = true
-	}
+	resync := w.resync
+	w.resync = false
+	ready := maps.Clone(w.ready)
 	w.mu.Unlock()
-	if pollAll {
+	if resync {
 		return jobs
 	}
+	safety := max(15*s.cfg.PollInterval, 2*time.Second)
 	now := time.Now()
 	var due []*jobsvc.Job
 	s.mu.Lock()
 	for _, j := range jobs {
-		last, polled := s.lastPoll[j.ID]
-		if ready[j.RemoteID] || !polled || now.Sub(last) >= s.cfg.WatchSafetyInterval {
+		if ready[j.RemoteID] || now.Sub(s.lastPoll[j.ID]) >= safety {
 			due = append(due, j)
 		}
 	}
@@ -824,16 +803,12 @@ func (s *Scheduler) pollDue(w *peerWatch, jobs []*jobsvc.Job) []*jobsvc.Job {
 }
 
 // pruneWatches closes push subscriptions for groups that no longer have
-// remote jobs (and dead streams), so watches do not outlive the work
-// they cover.
+// remote jobs, so watches do not outlive the work they cover.
 func (s *Scheduler) pruneWatches(groups map[watchKey][]*jobsvc.Job) {
 	var drop []*peerWatch
 	s.mu.Lock()
 	for k, w := range s.watches {
-		w.mu.Lock()
-		lost := w.lost
-		w.mu.Unlock()
-		if lost || len(groups[k]) == 0 {
+		if len(groups[k]) == 0 {
 			delete(s.watches, k)
 			drop = append(drop, w)
 		}
@@ -860,13 +835,7 @@ func (s *Scheduler) pullBack(c Conn, token string, j *jobsvc.Job, state string) 
 		s.failJob(j, err)
 		return
 	}
-	res := jobsvc.ExecResult{}
-	res.Stdout, _ = out["stdout"].(string)
-	res.Stderr, _ = out["stderr"].(string)
-	res.ExitCode, _ = rpc.CoerceInt(out["exit_code"])
-	res.Truncated, _ = out["truncated"].(bool)
-	res.StdoutTruncated, _ = out["stdout_truncated"].(bool)
-	res.StderrTruncated, _ = out["stderr_truncated"].(bool)
+	res := execResult(out)
 	if arts, ok := out["artifacts"].([]any); ok && len(arts) > 0 && s.jobs.StagingEnabled() {
 		staged, pulled, err := s.pullArtifacts(c, token, j, arts)
 		if err != nil {
@@ -892,6 +861,19 @@ func (s *Scheduler) pullBack(c Conn, token string, j *jobsvc.Job, state string) 
 	delete(s.failPolls, j.ID)
 	delete(s.lastPoll, j.ID)
 	s.mu.Unlock()
+}
+
+// execResult decodes the inline outputs of a peer's job.output reply;
+// artifact references are left to the caller.
+func execResult(out map[string]any) jobsvc.ExecResult {
+	var res jobsvc.ExecResult
+	res.Stdout, _ = out["stdout"].(string)
+	res.Stderr, _ = out["stderr"].(string)
+	res.ExitCode, _ = rpc.CoerceInt(out["exit_code"])
+	res.Truncated, _ = out["truncated"].(bool)
+	res.StdoutTruncated, _ = out["stdout_truncated"].(bool)
+	res.StderrTruncated, _ = out["stderr_truncated"].(bool)
+	return res
 }
 
 // artifactChunk is the file.read chunk size used for artifact transfers.
@@ -1047,41 +1029,30 @@ func (s *Scheduler) reapOrphans() {
 	pending := s.orphans
 	s.orphans = make(map[string][]orphan)
 	s.mu.Unlock()
-	for url, orphans := range pending {
-		done, err := s.breakers.Allow(url)
-		if err != nil {
-			// Breaker open: the peer is known-dead, keep the copies without
-			// burning a round trip on them.
-			s.keepOrphans(url, orphans)
-			continue
-		}
-		c, err := s.conn(url)
-		if err != nil {
-			done(false)
-			s.keepOrphans(url, orphans)
-			continue
-		}
-		ok := true
-		for i, o := range orphans {
-			_, err := c.Call(o.token, o.trace, "job.cancel", o.remoteID)
-			if err != nil && !isFault(err) {
-				// Transport failure: the peer is still unreachable. Keep
-				// this and the remaining copies for a later cycle.
-				ok = false
-				s.dropConn(url)
-				s.keepOrphans(url, orphans[i:])
-				break
+	for url, left := range pending {
+		err := s.exchange(url, func(c Conn) error {
+			for ; len(left) > 0; left = left[1:] {
+				o := left[0]
+				_, err := c.Call(o.token, o.trace, "job.cancel", o.remoteID)
+				if err != nil && !isFault(err) {
+					return err
+				}
+				if err != nil {
+					// The peer answered with a fault — unknown job, already
+					// terminal, expired session. Nothing left to cancel, but
+					// the copy may have run to completion there: say so.
+					s.logger.Printf("metasched: orphaned remote copy %s on %s not cancelled (%v); it may have completed remotely", o.remoteID, url, err)
+					continue
+				}
+				s.logger.Printf("metasched: cancelled orphaned remote copy %s on %s", o.remoteID, url)
 			}
-			if err != nil {
-				// The peer answered with a fault — unknown job, already
-				// terminal, expired session. Nothing left to cancel, but
-				// the copy may have run to completion there: say so.
-				s.logger.Printf("metasched: orphaned remote copy %s on %s not cancelled (%v); it may have completed remotely", o.remoteID, url, err)
-				continue
-			}
-			s.logger.Printf("metasched: cancelled orphaned remote copy %s on %s", o.remoteID, url)
+			return nil
+		})
+		if err != nil {
+			// Breaker open, dial failed or transport failure: the peer is
+			// still unreachable. Keep the copies not yet cancelled.
+			s.keepOrphans(url, left)
 		}
-		done(ok)
 	}
 }
 
@@ -1154,8 +1125,8 @@ func (s *Scheduler) forward() {
 		if n > over {
 			n = over
 		}
-		if n > s.cfg.MaxForward {
-			n = s.cfg.MaxForward
+		if n > maxForward {
+			n = maxForward
 		}
 		claimed := s.jobs.ClaimForward(n, p.name)
 		if len(claimed) == 0 {
@@ -1296,7 +1267,7 @@ func (s *Scheduler) loginDelegated(c Conn, key, owner string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("bad owner DN: %w", err)
 	}
-	secret, err := s.deleg.IssueDelegation(dn, s.cfg.DelegationTTL)
+	secret, err := s.deleg.IssueDelegation(dn, proxysvc.DefaultDelegationTTL)
 	if err != nil {
 		return "", err
 	}
@@ -1355,25 +1326,20 @@ func (s *Scheduler) Refresh(j *jobsvc.Job) (*jobsvc.Job, error) {
 	if j.PeerURL == "" || j.RemoteID == "" {
 		return nil, fmt.Errorf("metasched: job %s has no remote binding", j.ID)
 	}
-	done, err := s.breakers.Allow(j.PeerURL)
-	if err != nil {
-		return nil, fmt.Errorf("metasched: refresh %s: peer %s: %w", j.ID, j.Peer, err)
-	}
-	c, err := s.conn(j.PeerURL)
-	if err != nil {
-		done(false)
-		return nil, err
-	}
-	results, err := c.Batch(j.PeerSession, []Call{
-		{Method: "job.status", Params: []any{j.RemoteID}, Trace: j.Trace},
-		{Method: "job.output", Params: []any{j.RemoteID}, Trace: j.Trace},
+	var results []Result
+	err := s.exchange(j.PeerURL, func(c Conn) (err error) {
+		results, err = c.Batch(j.PeerSession, []Call{
+			{Method: "job.status", Params: []any{j.RemoteID}, Trace: j.Trace},
+			{Method: "job.output", Params: []any{j.RemoteID}, Trace: j.Trace},
+		})
+		if err == nil && len(results) != 2 {
+			err = fmt.Errorf("%d results for 2 calls", len(results))
+		}
+		return err
 	})
-	if err != nil || len(results) != 2 {
-		done(err == nil || isFault(err))
-		s.dropConn(j.PeerURL)
-		return nil, fmt.Errorf("metasched: refresh %s on %s: %v", j.ID, j.Peer, err)
+	if err != nil {
+		return nil, fmt.Errorf("metasched: refresh %s on %s: %w", j.ID, j.Peer, err)
 	}
-	done(true)
 	if results[0].Err != nil {
 		return nil, results[0].Err
 	}
@@ -1395,44 +1361,30 @@ func (s *Scheduler) Refresh(j *jobsvc.Job) (*jobsvc.Job, error) {
 	}
 	if results[1].Err == nil {
 		if out, ok := results[1].Value.(map[string]any); ok {
-			live.Stdout, _ = out["stdout"].(string)
-			live.Stderr, _ = out["stderr"].(string)
-			live.ExitCode, _ = rpc.CoerceInt(out["exit_code"])
-			live.Truncated, _ = out["truncated"].(bool)
-			live.StdoutTruncated, _ = out["stdout_truncated"].(bool)
-			live.StderrTruncated, _ = out["stderr_truncated"].(bool)
 			// Artifact references are NOT surfaced from the live peer
 			// view: they name the peer's namespace, which the submitting
 			// server's clients cannot fetch through. The local record
 			// gains fetchable references when the watch loop pulls the
 			// result back and re-stages the artifacts.
+			res := execResult(out)
+			live.Stdout, live.Stderr, live.ExitCode = res.Stdout, res.Stderr, res.ExitCode
+			live.Truncated, live.StdoutTruncated, live.StderrTruncated = res.Truncated, res.StdoutTruncated, res.StderrTruncated
 			live.Artifacts = nil
 		}
 	}
 	return &live, nil
 }
 
-// CancelRemote relays a cancellation to the executing peer.
-func (s *Scheduler) CancelRemote(j *jobsvc.Job) (bool, error) {
-	if j.PeerURL == "" || j.RemoteID == "" {
-		return false, fmt.Errorf("metasched: job %s has no remote binding", j.ID)
-	}
-	done, err := s.breakers.Allow(j.PeerURL)
+// CancelRemote relays a cancellation to the executing peer, logging a
+// relay that fails.
+func (s *Scheduler) CancelRemote(j *jobsvc.Job) {
+	err := s.exchange(j.PeerURL, func(c Conn) error {
+		_, err := c.Call(j.PeerSession, j.Trace, "job.cancel", j.RemoteID)
+		return err
+	})
 	if err != nil {
-		return false, fmt.Errorf("metasched: cancel %s: peer %s: %w", j.ID, j.Peer, err)
+		s.logger.Printf("metasched: relay cancel of %s to %s: %v", j.ID, j.Peer, err)
 	}
-	c, err := s.conn(j.PeerURL)
-	if err != nil {
-		done(false)
-		return false, err
-	}
-	v, err := c.Call(j.PeerSession, j.Trace, "job.cancel", j.RemoteID)
-	done(err == nil || isFault(err))
-	if err != nil {
-		return false, err
-	}
-	b, _ := v.(bool)
-	return b, nil
 }
 
 var _ jobsvc.RemoteController = (*Scheduler)(nil)

@@ -18,6 +18,7 @@ import (
 	"clarens/internal/discovery"
 	"clarens/internal/jobsvc"
 	"clarens/internal/pki"
+	"clarens/internal/pubsub"
 	"clarens/internal/resilience"
 	"clarens/internal/rpc"
 )
@@ -30,17 +31,30 @@ type fakeConn struct {
 	handle func(token, method string, params []any) (any, error)
 	calls  []string
 	closed bool
+	// fail answers a method with a fixed error instead of handle;
+	// "system.multicall" fails a whole Batch.
+	fail map[string]error
 }
 
 func (c *fakeConn) Call(token, trace, method string, params ...any) (any, error) {
 	c.mu.Lock()
 	c.calls = append(c.calls, method)
-	h := c.handle
+	h, err := c.handle, c.fail[method]
 	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	return h(token, method, params)
 }
 
 func (c *fakeConn) Batch(token string, calls []Call) ([]Result, error) {
+	c.mu.Lock()
+	c.calls = append(c.calls, "system.multicall")
+	err := c.fail["system.multicall"]
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Result, len(calls))
 	for i, cl := range calls {
 		v, err := c.Call(token, cl.Trace, cl.Method, cl.Params...)
@@ -58,6 +72,12 @@ func (c *fakeConn) Batch(token string, calls []Call) ([]Result, error) {
 func (c *fakeConn) Close() {
 	c.mu.Lock()
 	c.closed = true
+	c.mu.Unlock()
+}
+
+func (c *fakeConn) failWith(method string, err error) {
+	c.mu.Lock()
+	c.fail = map[string]error{method: err}
 	c.mu.Unlock()
 }
 
@@ -119,7 +139,8 @@ type harness struct {
 	conns   map[string]*fakeConn
 	gate    chan struct{} // each receive lets one local execution finish
 	mu      sync.Mutex
-	ranHere []string // commands executed locally
+	ranHere []string       // commands executed locally
+	dials   map[string]int // endpoint URL -> dials so far
 }
 
 func newHarness(t *testing.T, cfg Config, dialErr map[string]error) *harness {
@@ -138,6 +159,7 @@ func newHarnessJobs(t *testing.T, cfg Config, jcfg jobsvc.Config, dialErr map[st
 		deleg: &fakeDeleg{},
 		conns: map[string]*fakeConn{},
 		gate:  make(chan struct{}, 1024),
+		dials: map[string]int{},
 	}
 	exec := func(owner pki.DN, command string, stdout, stderr io.Writer) (jobsvc.ExecStatus, error) {
 		<-h.gate
@@ -153,6 +175,9 @@ func newHarnessJobs(t *testing.T, cfg Config, jcfg jobsvc.Config, dialErr map[st
 	}
 	t.Cleanup(h.jobs.Stop)
 	dial := func(url string) (Conn, error) {
+		h.mu.Lock()
+		h.dials[url]++
+		h.mu.Unlock()
 		if err := dialErr[url]; err != nil {
 			return nil, err
 		}
@@ -177,6 +202,45 @@ func newHarnessJobs(t *testing.T, cfg Config, jcfg jobsvc.Config, dialErr map[st
 	}
 	t.Cleanup(h.sched.Stop)
 	return h
+}
+
+func (h *harness) dialCount(url string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.dials[url]
+}
+
+// fakeEvents scripts a peer's push plane: every dial opens a stream the
+// test feeds and ends.
+type fakeEvents struct {
+	mu      sync.Mutex
+	streams []*fakeStream
+}
+
+func (f *fakeEvents) dial(url, token, query string) (EventStream, error) {
+	st := &fakeStream{ch: make(chan pubsub.Event, 8)}
+	f.mu.Lock()
+	f.streams = append(f.streams, st)
+	f.mu.Unlock()
+	return st, nil
+}
+
+func (f *fakeEvents) dialed() []*fakeStream {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]*fakeStream(nil), f.streams...)
+}
+
+type fakeStream struct {
+	ch   chan pubsub.Event
+	once sync.Once
+}
+
+func (s *fakeStream) Events() <-chan pubsub.Event { return s.ch }
+
+func (s *fakeStream) Close() error {
+	s.once.Do(func() { close(s.ch) })
+	return nil
 }
 
 func (h *harness) addPeer(name, url string, free int) *fakeConn {
@@ -625,6 +689,136 @@ func TestPartitionedPeerOrphanCancelledOnReturn(t *testing.T) {
 	if open := h.sched.Stats().BreakerOpen; open != 0 {
 		t.Errorf("BreakerOpen = %d after the peer returned, want 0", open)
 	}
+}
+
+// TestPeerExchangeOutcomes pins the one rule every round trip to a peer
+// follows: a fault answer means the peer is alive, so the connection
+// stays cached and the breaker records no failure; a transport error
+// counts one breaker failure and drops the connection, so the next call
+// re-dials.
+func TestPeerExchangeOutcomes(t *testing.T) {
+	const url = "http://peer1/rpc"
+	callers := []struct {
+		name   string
+		method string // the outcome is injected on this method ("system.multicall": the whole batch)
+		run    func(h *harness, j *jobsvc.Job)
+	}{
+		{"stats poll", "job.stats", func(h *harness, j *jobsvc.Job) { h.sched.pollPeers() }},
+		{"watch sweep", "system.multicall", func(h *harness, j *jobsvc.Job) { h.sched.watchRemote() }},
+		{"orphan reap", "job.cancel", func(h *harness, j *jobsvc.Job) {
+			h.sched.mu.Lock()
+			h.sched.orphans[url] = []orphan{{remoteID: j.RemoteID, token: j.PeerSession}}
+			h.sched.mu.Unlock()
+			h.sched.reapOrphans()
+		}},
+		{"Refresh", "system.multicall", func(h *harness, j *jobsvc.Job) { h.sched.Refresh(j) }},
+		{"CancelRemote", "job.cancel", func(h *harness, j *jobsvc.Job) { h.sched.CancelRemote(j) }},
+	}
+	outcomes := []struct {
+		name     string
+		err      error
+		failures uint64
+		redial   bool
+	}{
+		{"fault", &rpc.Fault{Code: rpc.CodeApplication, Message: "refused"}, 0, false},
+		{"transport error", errors.New("connection reset"), 1, true},
+	}
+	for _, c := range callers {
+		for _, o := range outcomes {
+			t.Run(c.name+"/"+o.name, func(t *testing.T) {
+				h := newHarness(t, Config{Pressure: -1}, nil)
+				conn := h.addPeer("peer1", url, 4)
+				base := conn.handle
+				conn.handle = func(token, method string, params []any) (any, error) {
+					if method == "job.status" {
+						return map[string]any{"state": "running"}, nil
+					}
+					return base(token, method, params)
+				}
+				h.occupy(t)
+				h.submit(t, 1)
+				h.sched.Kick() // the stats poll dials; the job is forwarded
+				remote := h.jobs.RemoteJobs()
+				if len(remote) != 1 || h.dialCount(url) != 1 {
+					t.Fatalf("remote jobs = %d, dials = %d; want 1 and 1", len(remote), h.dialCount(url))
+				}
+				before := h.sched.breakers.For(url).Stats().Failures
+				attempts := conn.callCount(c.method)
+
+				conn.failWith(c.method, o.err)
+				c.run(h, remote[0])
+				conn.failWith(c.method, nil)
+
+				if conn.callCount(c.method) == attempts {
+					t.Fatalf("%s never reached the peer", c.method)
+				}
+				if got := h.sched.breakers.For(url).Stats().Failures - before; got != o.failures {
+					t.Errorf("breaker failures +%d, want +%d", got, o.failures)
+				}
+				if st := h.sched.breakers.State(url); st != resilience.Closed {
+					t.Errorf("breaker %s, want closed", st)
+				}
+				h.sched.pollPeers()
+				if redialed := h.dialCount(url) > 1; redialed != o.redial {
+					t.Errorf("next call re-dialed = %v, want %v", redialed, o.redial)
+				}
+				h.gate <- struct{}{} // release the blocker
+			})
+		}
+	}
+}
+
+// TestRedialedWatchCoversTheGap: when a push watch's stream ends, the
+// next cycle dials a fresh watch whose first sweep finds a job that
+// finished while no stream was open — with no event, and without
+// waiting for the safety sweep.
+func TestRedialedWatchCoversTheGap(t *testing.T) {
+	events := &fakeEvents{}
+	h := newHarness(t, Config{Pressure: -1, EventDial: events.dial}, nil)
+	conn := h.addPeer("peer1", "http://peer1/rpc", 4)
+	base := conn.handle
+	var mu sync.Mutex
+	state := "running"
+	conn.handle = func(token, method string, params []any) (any, error) {
+		if method == "job.status" {
+			mu.Lock()
+			defer mu.Unlock()
+			return map[string]any{"state": state}, nil
+		}
+		return base(token, method, params)
+	}
+	h.occupy(t)
+	ids := h.submit(t, 1)
+	h.sched.Kick() // forward
+	h.sched.Kick() // dial the watch; its first sweep polls the running job
+	if st := h.sched.Stats(); st.Forwarded != 1 || st.StatusRPCs != 1 || st.PushWatches != 1 {
+		t.Fatalf("stats = %+v, want 1 forwarded, 1 status poll, 1 push watch", st)
+	}
+
+	// End the stream and wait for the watch to see it; then the job
+	// finishes on the peer with no event to say so.
+	select {
+	case <-h.sched.wakeCh:
+	default:
+	}
+	events.dialed()[0].Close()
+	select {
+	case <-h.sched.wakeCh:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the watch never noticed its stream end")
+	}
+	mu.Lock()
+	state = "done"
+	mu.Unlock()
+
+	h.sched.Kick()
+	if n := len(events.dialed()); n != 2 {
+		t.Errorf("push dials = %d, want 2 (a fresh watch after the stream ended)", n)
+	}
+	if j, _ := h.jobs.Get(ids[0]); j.State != jobsvc.StateDone {
+		t.Errorf("job state = %s after the re-dial, want done", j.State)
+	}
+	h.gate <- struct{}{} // release the blocker
 }
 
 // tempStager is a minimal jobsvc.ArtifactStager over a temp directory.

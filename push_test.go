@@ -75,8 +75,9 @@ func TestFederationPushCutsStatusPolling(t *testing.T) {
 // --- client auto-reconnect ---
 
 // TestSubscribeReconnectResumes kills a subscription's transport out
-// from under it and proves the client redials, resubscribes, and keeps
-// delivering without replaying anything it already handed out.
+// from under it and proves the client redials, resubscribes, marks the
+// gap, and keeps delivering without replaying anything it already
+// handed out.
 func TestSubscribeReconnectResumes(t *testing.T) {
 	srv, c := startFull(t)
 	sess, err := srv.NewSessionFor(adminDN)
@@ -106,11 +107,12 @@ func TestSubscribeReconnectResumes(t *testing.T) {
 	old.Close()
 
 	// Events published while the client is down are gone (at-most-once);
-	// keep publishing until the reconnected stream delivers again.
+	// keep publishing until the reconnected stream delivers a real event
+	// again, not just the reconnect marker.
 	var resumed []Event
 	deadline := time.After(10 * time.Second)
 	i := 0
-	for len(resumed) == 0 {
+	for len(resumed) == 0 || resumed[len(resumed)-1].Seq == 0 {
 		i++
 		srv.Events().Publish(Event{Type: "test.ping", Tags: map[string]string{"n": fmt.Sprint(i)}})
 		select {
@@ -133,9 +135,11 @@ drain:
 		}
 	}
 	last := first.Seq
+	marked := false
 	for _, ev := range resumed {
 		if ev.Seq == 0 {
-			continue // synthetic lag marker
+			marked = marked || ev.Type == EventLagged && ev.Data["reconnected"] == true
+			continue
 		}
 		if ev.Seq <= last {
 			t.Fatalf("duplicate or reordered event after reconnect: seq %d after %d", ev.Seq, last)
@@ -147,6 +151,9 @@ drain:
 	sub.mu.Unlock()
 	if !reconnected {
 		t.Fatal("subscription never replaced its dead transport")
+	}
+	if !marked {
+		t.Fatalf("no reconnect marker among the resumed events: %+v", resumed)
 	}
 	if err := sub.Err(); err != nil {
 		t.Fatalf("subscription failed permanently: %v", err)

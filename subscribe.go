@@ -22,9 +22,10 @@ import (
 // Event is one push event delivered over a Subscription.
 type Event = pubsub.Event
 
-// EventLagged is the type of the synthetic marker injected into a slow
-// subscriber's stream after the server dropped events to keep up; its
-// Data["dropped"] counts the lost events.
+// EventLagged is the type of the synthetic marker injected into a
+// stream at a gap: after the server dropped events for a slow subscriber
+// (Data["dropped"] counts them), or after the client re-dialed a dropped
+// transport (Data["reconnected"] is true).
 const EventLagged = pubsub.TypeLagged
 
 const (
@@ -76,8 +77,8 @@ type Subscription struct {
 // subscription reconnects and resubscribes automatically if the
 // transport drops, deduplicating events by sequence number across the
 // gap — though events published while disconnected are gone (at-most-
-// once delivery; resync from the RPC surface after a lagged marker or
-// reconnect if completeness matters).
+// once delivery). Each reconnect delivers an EventLagged marker; resync
+// from the RPC surface after one if completeness matters.
 func (c *Client) Subscribe(query string) (*Subscription, error) {
 	if _, err := pubsub.ParseQuery(query); err != nil {
 		return nil, err
@@ -250,6 +251,12 @@ func (s *Subscription) run(conn *ws.Conn) {
 		}
 		s.conn = conn
 		s.mu.Unlock()
+		// Events published during the gap are gone: say so with a marker,
+		// as the server does when it sheds events for a slow subscriber.
+		select {
+		case s.ch <- Event{Type: EventLagged, Data: map[string]any{"reconnected": true}}:
+		case <-s.done:
+		}
 	}
 }
 
