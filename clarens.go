@@ -180,11 +180,12 @@ type Config struct {
 	// tenant cannot fill the queue (default: a quarter of the queue
 	// bound; negative = unlimited).
 	JobMaxQueuedPerOwner int
-	// JobAgeInterval enables scheduler priority aging: every interval a
-	// queued job's effective priority rises by JobAgeStep, so low-priority
-	// work is not starved indefinitely. Zero keeps strict priority.
+	// JobAgeInterval enables scheduler priority aging: a queued job's
+	// effective priority rises continuously, by JobAgeStep per interval
+	// waited, so low-priority work is not starved indefinitely. Zero keeps
+	// strict priority.
 	JobAgeInterval time.Duration
-	// JobAgeStep is the priority increment per elapsed JobAgeInterval
+	// JobAgeStep is the priority increment per JobAgeInterval waited
 	// (default 1).
 	JobAgeStep int
 	// JobSpoolLimit bounds the bytes of one job output stream (or
@@ -275,7 +276,9 @@ type Config struct {
 	DisablePush bool
 	// RequestLog, when set, receives one structured entry per RPC
 	// dispatch (method, trace and span IDs, duration, caller DN, fault)
-	// and per job lifecycle transition. Nil disables request logging
+	// and one per job state transition — every one, including retries,
+	// cancellation, forwarding to a peer, fallback, remote completion and
+	// restart recovery. Nil disables request logging
 	// with no dispatch overhead. Requests slower than TraceSlow log at
 	// warn level with their span breakdown inline when the trace store
 	// is enabled.
@@ -537,15 +540,6 @@ func NewServer(cfg Config) (*Server, error) {
 		if err := cs.MethodACL().Set("job", &acl.ACL{AllowDNs: []string{acl.EntryAny}, AllowGroups: []string{vo.AdminsGroup}}); err != nil {
 			return fail(err)
 		}
-		cs.RegisterStatsSection("jobs", func() map[string]any {
-			sn := js.Stats()
-			return map[string]any{
-				"queued": sn.Queued, "running": sn.Running, "remote": sn.Remote,
-				"done": sn.Done, "failed": sn.Failed, "cancelled": sn.Cancelled,
-				"workers": sn.Workers, "artifact_bytes": sn.ArtifactBytes,
-				"throughput_per_s": sn.Throughput(),
-			}
-		})
 		cs.RegisterHealthCheck("jobs", func() error {
 			if js.Stats().Workers <= 0 {
 				return fmt.Errorf("no job workers")

@@ -50,8 +50,8 @@ func main() {
 		jobWorkers   = flag.Int("job-workers", 4, "job worker pool size")
 		jobPerOwner  = flag.Int("job-max-per-owner", 4, "fair-share cap on concurrently running jobs per owner DN (negative = unlimited)")
 		jobQueued    = flag.Int("job-max-queued-per-owner", 0, "cap on queued jobs per owner DN (0 = quarter of the queue bound, negative = unlimited)")
-		jobAge       = flag.Duration("job-age-interval", 0, "priority aging period for queued jobs (0 = strict priority)")
-		jobAgeStep   = flag.Int("job-age-step", 1, "effective-priority increment per elapsed aging period")
+		jobAge       = flag.Duration("job-age-interval", 0, "priority aging period: a queued job's effective priority rises continuously by -job-age-step per period waited (0 = strict priority)")
+		jobAgeStep   = flag.Int("job-age-step", 1, "effective-priority increment per aging period waited")
 		jobSpool     = flag.Int64("job-spool-limit", 0, "per-stream byte cap for staged job artifacts (0 = 256 MiB default; requires -fileroot)")
 		jobRetention = flag.Duration("job-artifact-retention", 0, "garbage-collect terminal jobs' artifact trees after this long (0 = keep until job.delete)")
 		federation   = flag.Bool("federation", false, "forward queued jobs to discovered peer servers (requires -jobs, -proxy, and a station network)")

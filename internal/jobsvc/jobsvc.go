@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -167,8 +168,6 @@ type Config struct {
 	// owner's jobs running concurrently (default 4; negative = unlimited).
 	// Jobs over quota stay queued while other owners' work proceeds.
 	MaxPerOwner int
-	// RetryLimit caps the per-job max_retries request (default 3).
-	RetryLimit int
 	// OutputLimit bounds the inline head of each output stream retained
 	// on the job record (default 64 KiB). With artifact staging enabled,
 	// streams beyond it live on disk in full (up to SpoolLimit) and
@@ -191,19 +190,17 @@ type Config struct {
 	// trees of terminal jobs this long after they finish (the records
 	// keep their inline heads). Zero keeps artifacts until job.delete.
 	ArtifactRetention time.Duration
-	// GCInterval is the retention sweep period (default 1m).
-	GCInterval time.Duration
 	// MaxQueuedPerOwner bounds the number of one owner's jobs sitting in
 	// the queue, so a single tenant cannot fill MaxQueue and wedge the
 	// federation pressure signal for everyone else. Default (0) is
 	// MaxQueue/4; negative = unlimited.
 	MaxQueuedPerOwner int
-	// AgeInterval enables priority aging: every AgeInterval a queued
-	// job's effective priority rises by AgeStep, so long-queued
-	// low-priority work is no longer starved by a stream of high-priority
-	// submissions. Zero disables aging (strict priority).
+	// AgeInterval enables priority aging: a queued job's effective
+	// priority rises continuously, by AgeStep per AgeInterval waited, so
+	// long-queued low-priority work is no longer starved by a stream of
+	// high-priority submissions. Zero disables aging (strict priority).
 	AgeInterval time.Duration
-	// AgeStep is the priority increment per elapsed AgeInterval
+	// AgeStep is the priority increment per AgeInterval waited
 	// (default 1).
 	AgeStep int
 	// Telemetry, when set, receives the clarens.job.* gauges (queue
@@ -212,9 +209,10 @@ type Config struct {
 	// (started→finished), and per-attempt output staging time.
 	Telemetry *telemetry.Registry
 	// Events, when set, receives one structured log entry per job state
-	// transition (queued, running, done/failed/cancelled) carrying the
-	// job's trace ID and the transition's duration. Nil disables
-	// lifecycle logging.
+	// transition — submission, start, retry, cancellation, forwarding to
+	// a peer, fallback, local or remote completion, restart recovery —
+	// carrying the new state, the job's trace ID and, where one was
+	// measured, the transition's duration. Nil disables lifecycle logging.
 	Events *slog.Logger
 	// Spans, when set, links job executions into the flight recorder: a
 	// terminal transition records a synthetic "job.exec" span on the
@@ -236,17 +234,11 @@ func (c *Config) fill() {
 	} else if c.MaxPerOwner < 0 {
 		c.MaxPerOwner = 0 // unlimited
 	}
-	if c.RetryLimit <= 0 {
-		c.RetryLimit = 3
-	}
 	if c.OutputLimit <= 0 {
 		c.OutputLimit = 64 << 10
 	}
 	if c.SpoolLimit <= 0 {
 		c.SpoolLimit = 256 << 20
-	}
-	if c.GCInterval <= 0 {
-		c.GCInterval = time.Minute
 	}
 	if c.MaxQueuedPerOwner == 0 {
 		c.MaxQueuedPerOwner = c.MaxQueue / 4
@@ -258,26 +250,30 @@ func (c *Config) fill() {
 	}
 }
 
+// retryLimit caps the per-job max_retries request; gcInterval is the
+// artifact retention sweep period.
+const (
+	retryLimit = 3
+	gcInterval = time.Minute
+)
+
 // serviceDN identifies the scheduler as the sender of job notifications.
 var serviceDN = pki.MustParseDN("/O=clarens/OU=Services/CN=job scheduler")
 
-// queueItem orders the heap: higher effective priority first, FIFO within
-// a priority level. priority starts at the job's base priority and, when
-// aging is enabled, is periodically recomputed as
-// base + AgeStep*floor(waited/AgeInterval) so queued work rises over time.
+// queueItem orders the heap: higher key first, FIFO on ties. The key is
+// static (see queueKey), so aging needs no periodic re-sort.
 type queueItem struct {
-	id       string
-	base     int
-	priority int   // effective priority (== base when aging is off)
-	seq      int64 // submission UnixNano
+	id  string
+	key float64
+	seq int64 // submission UnixNano
 }
 
 type jobHeap []*queueItem
 
 func (h jobHeap) Len() int { return len(h) }
 func (h jobHeap) Less(i, j int) bool {
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
+	if h[i].key != h[j].key {
+		return h[i].key > h[j].key
 	}
 	return h[i].seq < h[j].seq
 }
@@ -316,16 +312,15 @@ type Service struct {
 	stager  ArtifactStager
 	collect Collector
 
-	mu            sync.Mutex
-	cond          *sync.Cond
-	queue         jobHeap
-	ownerRunning  map[string]int
-	ownerQueued   map[string]int
-	runningCount  int
-	remoteCount   int
-	doneCount     uint64
-	failedCount   uint64
-	cancelCount   uint64
+	mu           sync.Mutex
+	cond         *sync.Cond
+	queue        jobHeap
+	ownerRunning map[string]int
+	ownerQueued  map[string]int
+	// count holds, per state, the jobs in it now (queued, running,
+	// remote) or moved into it by this process (terminal states). Only
+	// move writes it.
+	count         map[string]int
 	artifactBytes uint64 // cumulative bytes staged into artifact trees
 	artifactGC    uint64 // artifact trees garbage-collected
 	stopped       bool
@@ -358,6 +353,7 @@ func New(srv *core.Server, cfg Config, exec Executor, notify Notifier) (*Service
 		collect:      cfg.Collector,
 		ownerRunning: make(map[string]int),
 		ownerQueued:  make(map[string]int),
+		count:        make(map[string]int),
 		events:       cfg.Events,
 		started:      time.Now(),
 		stopCh:       make(chan struct{}),
@@ -391,14 +387,11 @@ func New(srv *core.Server, cfg Config, exec Executor, notify Notifier) (*Service
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
+	srv.RegisterStatsSection("jobs", s.statsSection)
 	s.sweepOrphanArtifacts()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	if cfg.AgeInterval > 0 {
-		s.wg.Add(1)
-		go s.ageLoop()
 	}
 	if s.stager != nil && cfg.ArtifactRetention > 0 {
 		s.wg.Add(1)
@@ -433,7 +426,7 @@ func (s *Service) sweepOrphanArtifacts() {
 // collected and the records drop their references (inline heads stay).
 func (s *Service) gcLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.GCInterval)
+	t := time.NewTicker(gcInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -490,57 +483,27 @@ func (s *Service) remoteController() RemoteController {
 	return s.remote
 }
 
-// pushQueue re-enters j into the priority heap and charges the owner's
-// queued quota. Callers hold s.mu. The effective priority is seeded with
-// the age already accrued since submission, so a requeued retry does not
-// restart its aging clock.
-func (s *Service) pushQueue(j *Job) {
-	it := &queueItem{id: j.ID, base: j.Priority, priority: j.Priority, seq: j.Submitted.UnixNano()}
+// queueKey is j's heap key. Aging is continuous: a job that has waited w
+// has effective priority Priority + AgeStep·w/AgeInterval, so the gap
+// between two queued jobs' effective priorities never changes. Ordering by
+// Priority − AgeStep·(Submitted − epoch)/AgeInterval, fixed when the job
+// is pushed, is therefore ordering by effective priority at every instant,
+// and a requeued retry keeps the age it accrued since submission.
+func (s *Service) queueKey(j *Job) float64 {
+	key := float64(j.Priority)
 	if s.cfg.AgeInterval > 0 {
-		if waited := time.Since(j.Submitted); waited > 0 {
-			it.priority = it.base + s.cfg.AgeStep*int(waited/s.cfg.AgeInterval)
-		}
+		key -= float64(s.cfg.AgeStep) * float64(j.Submitted.Sub(s.started)) / float64(s.cfg.AgeInterval)
 	}
-	heap.Push(&s.queue, it)
-	s.ownerQueued[j.Owner]++
+	return key
 }
 
-// decQueued releases one unit of the owner's queued quota. Callers hold
-// s.mu.
-func (s *Service) decQueued(owner string) {
-	if n := s.ownerQueued[owner] - 1; n > 0 {
-		s.ownerQueued[owner] = n
+// release takes one unit of owner's share out of a quota map, dropping
+// the entry at zero. Callers hold s.mu.
+func release(quota map[string]int, owner string) {
+	if n := quota[owner] - 1; n > 0 {
+		quota[owner] = n
 	} else {
-		delete(s.ownerQueued, owner)
-	}
-}
-
-// ageLoop periodically recomputes effective priorities so long-queued
-// low-priority jobs rise instead of starving (ROADMAP: scheduler aging).
-func (s *Service) ageLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.AgeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			now := time.Now()
-			changed := false
-			for _, it := range s.queue {
-				eff := it.base + s.cfg.AgeStep*int(now.Sub(time.Unix(0, it.seq))/s.cfg.AgeInterval)
-				if eff != it.priority {
-					it.priority = eff
-					changed = true
-				}
-			}
-			if changed {
-				heap.Init(&s.queue)
-			}
-			s.mu.Unlock()
-		}
+		delete(quota, owner)
 	}
 }
 
@@ -555,46 +518,28 @@ func (s *Service) recover() error {
 			return fmt.Errorf("jobsvc: corrupt job record %s: %w", key, err)
 		}
 		switch j.State {
-		case StateQueued:
-			s.pushQueue(&j)
-		case StateRemote:
-			// Forwarded to a peer before the restart. The shadow record is
-			// kept as-is: a running meta-scheduler re-adopts it on its next
-			// watch cycle; assemblies without federation call
-			// RequeueAllRemote to pull the work back into the local queue.
-			s.remoteCount++
-		case StateRunning:
-			if j.Cancel {
-				j.State = StateCancelled
-				j.Finished = time.Now()
-				j.Error = "cancelled before server restart"
-				if err := s.put(&j); err != nil {
-					return err
-				}
-				s.cancelCount++
-				s.notifyDone(&j)
-				s.publishState(&j, j.State, 0)
-			} else if j.Attempts <= j.MaxRetries {
-				j.State = StateQueued
-				j.Error = fmt.Sprintf("attempt %d interrupted by server restart; re-queued", j.Attempts)
-				if err := s.put(&j); err != nil {
-					return err
-				}
-				s.pushQueue(&j)
-				s.publishState(&j, StateQueued, 0)
-			} else {
-				j.State = StateFailed
-				j.Finished = time.Now()
-				j.Error = fmt.Sprintf("interrupted by server restart after %d attempts", j.Attempts)
-				if err := s.put(&j); err != nil {
-					return err
-				}
-				s.failedCount++
-				s.notifyDone(&j)
-				s.publishState(&j, j.State, 0)
-			}
+		case StateQueued, StateRemote, StateRunning:
+			// The record re-enters occupancy as persisted, which writes
+			// nothing and so cannot fail. A remote shadow record stays as it
+			// is: a running meta-scheduler re-adopts it on its next watch
+			// cycle; assemblies without federation call RequeueAllRemote to
+			// pull the work back into the local queue.
+			_ = s.move(&j, j.State, 0)
 		}
-		return nil
+		if j.State != StateRunning {
+			return nil
+		}
+		// The attempt was interrupted by the restart; it already counted.
+		to := StateFailed
+		switch {
+		case j.Cancel:
+			to, j.Error = StateCancelled, "cancelled before server restart"
+		case j.Attempts <= j.MaxRetries:
+			to, j.Error = StateQueued, fmt.Sprintf("attempt %d interrupted by server restart; re-queued", j.Attempts)
+		default:
+			j.Error = fmt.Sprintf("interrupted by server restart after %d attempts", j.Attempts)
+		}
+		return s.move(&j, to, 0)
 	})
 }
 
@@ -692,8 +637,8 @@ func (s *Service) SubmitTraced(owner pki.DN, trace, command string, priority, ma
 	if maxRetries < 0 {
 		maxRetries = 0
 	}
-	if maxRetries > s.cfg.RetryLimit {
-		maxRetries = s.cfg.RetryLimit
+	if maxRetries > retryLimit {
+		maxRetries = retryLimit
 	}
 	if len(collect) > maxCollectPatterns {
 		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("job: at most %d collect patterns", maxCollectPatterns)}
@@ -708,72 +653,106 @@ func (s *Service) SubmitTraced(owner pki.DN, trace, command string, priority, ma
 		Owner:      owner.String(),
 		Command:    command,
 		Priority:   priority,
-		State:      StateQueued,
 		MaxRetries: maxRetries,
 		Submitted:  now,
 		Collect:    collect,
 		Trace:      trace,
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped {
-		s.mu.Unlock()
 		return nil, &rpc.Fault{Code: rpc.CodeApplication, Message: "job: scheduler stopped"}
 	}
 	// Per-owner quota first: one tenant hitting its share is refused with
 	// a quota fault while the queue stays open for everyone else (and the
 	// queue-depth pressure signal stays meaningful for the federation).
 	if q := s.cfg.MaxQueuedPerOwner; q > 0 && s.ownerQueued[j.Owner] >= q {
-		s.mu.Unlock()
 		return nil, &rpc.Fault{Code: rpc.CodeApplication, Message: fmt.Sprintf("job: owner queue quota reached (%d queued) for %s", q, j.Owner)}
 	}
 	if len(s.queue) >= s.cfg.MaxQueue {
-		s.mu.Unlock()
 		return nil, &rpc.Fault{Code: rpc.CodeApplication, Message: fmt.Sprintf("job: queue full (%d jobs)", s.cfg.MaxQueue)}
 	}
-	if err := s.put(j); err != nil {
-		s.mu.Unlock()
+	if err := s.move(j, StateQueued, 0); err != nil {
 		return nil, err
 	}
-	s.pushQueue(j)
-	s.cond.Signal()
-	s.mu.Unlock()
-	s.logEvent(j, StateQueued, 0)
 	return j, nil
 }
 
-// publishState announces one job state transition on the server's event
-// bus (the push plane behind /ws): tagged for query matching and owner
-// scoping, carrying the job's trace ID. Publishing never blocks, so it
-// is safe under s.mu.
-func (s *Service) publishState(j *Job, state string, dur time.Duration) {
-	tags := map[string]string{
-		"service": "job",
-		"job_id":  j.ID,
-		"owner":   j.Owner,
-		"state":   state,
-	}
-	if j.Peer != "" {
-		tags["peer"] = j.Peer
-	}
-	data := map[string]any{
-		"command":  j.Command,
-		"attempts": j.Attempts,
-	}
-	if Terminal(state) {
-		data["exit_code"] = j.ExitCode
-		if j.Error != "" {
-			data["error"] = j.Error
+// move is the job state machine's one transition: it takes j, already
+// carrying whatever else the caller changed (result, error, peer
+// binding), into state to. Callers hold s.mu. In order, move
+//
+//  1. persists the record with its new state and the start time and
+//     attempt count, or finish time, it implies; if the put fails,
+//     nothing in memory changes;
+//  2. updates occupancy: the per-state count, the owner's running and
+//     queued quota, and the heap when the job enters StateQueued (a
+//     caller taking a job out of the queue removes its heap entry after
+//     move succeeds);
+//  3. announces the change once: the histogram the step implies, the
+//     owner's notification on terminal states, one job.state event and
+//     one lifecycle log entry.
+//
+// dur is the step's measured duration (queue wait for a start, run time
+// for a local attempt's end), zero where none was measured. A record
+// already in state to was recovered from the store: it only re-enters
+// occupancy.
+func (s *Service) move(j *Job, to string, dur time.Duration) error {
+	from := j.State
+	recovered := from == to
+	if recovered {
+		from = ""
+	} else {
+		next := *j
+		next.State = to
+		switch {
+		case to == StateRunning:
+			next.Started = time.Now()
+			next.Attempts++
+		case Terminal(to):
+			next.Finished = time.Now()
 		}
+		if err := s.put(&next); err != nil {
+			return err
+		}
+		*j = next
 	}
-	if dur > 0 {
-		data["dur_s"] = dur.Seconds()
+
+	switch from {
+	case StateQueued:
+		release(s.ownerQueued, j.Owner)
+	case StateRunning:
+		release(s.ownerRunning, j.Owner)
 	}
-	s.srv.Events().Publish(pubsub.Event{
-		Type:  "job.state",
-		Trace: j.Trace,
-		Tags:  tags,
-		Data:  data,
-	})
+	if from != "" {
+		s.count[from]--
+	}
+	s.count[to]++
+	switch to {
+	case StateQueued:
+		heap.Push(&s.queue, &queueItem{id: j.ID, key: s.queueKey(j), seq: j.Submitted.UnixNano()})
+		s.ownerQueued[j.Owner]++
+		s.cond.Signal()
+	case StateRunning:
+		s.ownerRunning[j.Owner]++
+	}
+	if recovered {
+		return nil
+	}
+
+	switch {
+	case to == StateRunning && s.queueWaitHist != nil:
+		s.queueWaitHist.Observe(dur)
+	case Terminal(to):
+		// Only a local attempt's end measures a run; a remote completion
+		// or a restart recovery passes zero.
+		if dur > 0 && s.runHist != nil {
+			s.runHist.Observe(dur)
+		}
+		s.notifyDone(j)
+	}
+	s.announce(j, dur)
+	return nil
 }
 
 // publishArtifact announces a staged artifact reference on the event
@@ -798,18 +777,47 @@ func (s *Service) publishArtifact(j *Job, a Artifact) {
 	})
 }
 
-// logEvent emits one structured lifecycle entry (nil-safe) and mirrors
-// the transition onto the event bus; dur carries the transition's
-// duration where one is meaningful (queue wait for running, run time
-// for terminal states).
-func (s *Service) logEvent(j *Job, state string, dur time.Duration) {
-	s.publishState(j, state, dur)
-	if st := s.cfg.Spans; st != nil && j.Trace != "" && Terminal(state) {
-		// Link the execution into the flight recorder as a synthetic span
-		// on the job's trace: sampled on its own merits (slow or failed),
-		// or appended when the submitting RPC already promoted the trace.
+// announce publishes j's new state on the server's event bus (the push
+// plane behind /ws), tagged for query matching and owner scoping and
+// carrying the job's trace ID, and writes one lifecycle log entry
+// (nil-safe). A local attempt's end (terminal with a measured dur) is
+// also linked into the flight recorder. Publishing never blocks, so it is
+// safe under s.mu; move is the only caller.
+func (s *Service) announce(j *Job, dur time.Duration) {
+	tags := map[string]string{
+		"service": "job",
+		"job_id":  j.ID,
+		"owner":   j.Owner,
+		"state":   j.State,
+	}
+	if j.Peer != "" {
+		tags["peer"] = j.Peer
+	}
+	data := map[string]any{
+		"command":  j.Command,
+		"attempts": j.Attempts,
+	}
+	if Terminal(j.State) {
+		data["exit_code"] = j.ExitCode
+		if j.Error != "" {
+			data["error"] = j.Error
+		}
+	}
+	if dur > 0 {
+		data["dur_s"] = dur.Seconds()
+	}
+	s.srv.Events().Publish(pubsub.Event{
+		Type:  "job.state",
+		Trace: j.Trace,
+		Tags:  tags,
+		Data:  data,
+	})
+	if st := s.cfg.Spans; st != nil && j.Trace != "" && Terminal(j.State) && dur > 0 {
+		// A synthetic span on the job's trace: sampled on its own merits
+		// (slow or failed), or appended when the submitting RPC already
+		// promoted the trace.
 		fault := 0
-		if state == StateFailed {
+		if j.State == StateFailed {
 			fault = 1
 		}
 		st.Record(telemetry.Span{
@@ -830,7 +838,7 @@ func (s *Service) logEvent(j *Job, state string, dur time.Duration) {
 	attrs := make([]slog.Attr, 0, 6)
 	attrs = append(attrs,
 		slog.String("job", j.ID),
-		slog.String("state", state),
+		slog.String("state", j.State),
 		slog.String("owner", j.Owner),
 	)
 	if j.Trace != "" {
@@ -860,32 +868,20 @@ func (s *Service) Cancel(id string) (bool, error) {
 	}
 	switch j.State {
 	case StateQueued:
-		// Drop the heap entry eagerly so it stops counting against
-		// MaxQueue, the owner's quota, and the queue-depth gauge.
-		for i, it := range s.queue {
-			if it.id == j.ID {
-				heap.Remove(&s.queue, i)
-				break
+		err := s.move(j, StateCancelled, 0)
+		if err == nil {
+			// Drop the heap entry eagerly so it stops counting against
+			// MaxQueue and the queue-depth gauge.
+			for i, it := range s.queue {
+				if it.id == j.ID {
+					heap.Remove(&s.queue, i)
+					break
+				}
 			}
 		}
-		s.decQueued(j.Owner)
-		j.State = StateCancelled
-		j.Finished = time.Now()
-		s.cancelCount++
-		if err := s.put(j); err != nil {
-			s.mu.Unlock()
-			return false, err
-		}
-		s.notifyDone(j)
-		s.publishState(j, StateCancelled, 0)
 		s.mu.Unlock()
-		return true, nil
-	case StateRunning:
-		j.Cancel = true
-		err := s.put(j)
-		s.mu.Unlock()
-		return true, err
-	case StateRemote:
+		return err == nil, err
+	case StateRunning, StateRemote:
 		j.Cancel = true
 		err := s.put(j)
 		rc := s.remote
@@ -893,7 +889,7 @@ func (s *Service) Cancel(id string) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if rc != nil && j.RemoteID != "" {
+		if j.State == StateRemote && rc != nil && j.RemoteID != "" {
 			// Network call outside the lock; failures are fine — the watch
 			// loop either pulls back a cancelled result or requeues the job
 			// locally, where the flag cancels it.
@@ -978,8 +974,8 @@ func (s *Service) ClaimForward(max int, peer string) []*Job {
 	// effective priority first, newest submission first within a level.
 	scratch := append([]*queueItem(nil), s.queue...)
 	sort.Slice(scratch, func(i, j int) bool {
-		if scratch[i].priority != scratch[j].priority {
-			return scratch[i].priority < scratch[j].priority
+		if scratch[i].key != scratch[j].key {
+			return scratch[i].key < scratch[j].key
 		}
 		return scratch[i].seq > scratch[j].seq
 	})
@@ -994,29 +990,16 @@ func (s *Service) ClaimForward(max int, peer string) []*Job {
 			claimed[it.id] = true // stale entry: drop it from the heap too
 			continue
 		}
-		j.State = StateRemote
 		j.Peer = peer
-		if err := s.put(j); err != nil {
+		if err := s.move(j, StateRemote, 0); err != nil {
 			s.srv.Logger().Printf("jobsvc: persist remote claim of %s: %v", j.ID, err)
 			continue
 		}
-		s.decQueued(j.Owner)
-		s.remoteCount++
 		claimed[it.id] = true
 		out = append(out, j)
-		s.publishState(j, StateRemote, 0)
 	}
 	if len(claimed) > 0 {
-		kept := s.queue[:0]
-		for _, it := range s.queue {
-			if !claimed[it.id] {
-				kept = append(kept, it)
-			}
-		}
-		for i := len(kept); i < len(s.queue); i++ {
-			s.queue[i] = nil
-		}
-		s.queue = kept
+		s.queue = slices.DeleteFunc(s.queue, func(it *queueItem) bool { return claimed[it.id] })
 		heap.Init(&s.queue)
 	}
 	return out
@@ -1053,29 +1036,12 @@ func (s *Service) RequeueLocal(id, reason string) error {
 	if j.State != StateRemote {
 		return nil // completed or already requeued: nothing to undo
 	}
-	s.remoteCount--
 	j.Peer, j.PeerURL, j.RemoteID, j.PeerSession = "", "", "", ""
-	if j.Cancel {
-		j.State = StateCancelled
-		j.Finished = time.Now()
-		j.Error = reason
-		if err := s.put(j); err != nil {
-			return err
-		}
-		s.cancelCount++
-		s.notifyDone(j)
-		s.publishState(j, StateCancelled, 0)
-		return nil
-	}
-	j.State = StateQueued
 	j.Error = reason
-	if err := s.put(j); err != nil {
-		return err
+	if j.Cancel {
+		return s.move(j, StateCancelled, 0)
 	}
-	s.pushQueue(j)
-	s.cond.Signal()
-	s.publishState(j, StateQueued, 0)
-	return nil
+	return s.move(j, StateQueued, 0)
 }
 
 // CompleteRemote finalizes a remote job with the result pulled back from
@@ -1102,25 +1068,9 @@ func (s *Service) CompleteRemote(id, state string, res ExecResult, errMsg string
 			errMsg = fmt.Sprintf("cancelled; peer %s had already completed the attempt", j.Peer)
 		}
 	}
-	s.remoteCount--
-	j.State = state
-	j.Finished = time.Now()
 	s.applyResult(j, res)
 	j.Error = errMsg
-	switch state {
-	case StateDone:
-		s.doneCount++
-	case StateFailed:
-		s.failedCount++
-	case StateCancelled:
-		s.cancelCount++
-	}
-	if err := s.put(j); err != nil {
-		return err
-	}
-	s.notifyDone(j)
-	s.publishState(j, state, 0)
-	return nil
+	return s.move(j, state, 0)
 }
 
 // RemoteJobs returns the jobs currently bound to peers (shadow records
@@ -1155,35 +1105,29 @@ func (s *Service) next() *Job {
 		}
 		var skipped []*queueItem
 		var picked *Job
+		var pickedItem *queueItem
 		for len(s.queue) > 0 {
 			it := heap.Pop(&s.queue).(*queueItem)
 			j, ok := s.Get(it.id)
 			if !ok || j.State != StateQueued {
-				continue // cancelled or vanished while queued
+				continue // vanished while queued
 			}
 			if s.cfg.MaxPerOwner > 0 && s.ownerRunning[j.Owner] >= s.cfg.MaxPerOwner {
 				skipped = append(skipped, it)
 				continue
 			}
-			picked = j
-			// The job left the queue; its owner's queued quota frees now,
-			// whatever happens to the claim below.
-			s.decQueued(j.Owner)
+			picked, pickedItem = j, it
 			break
 		}
 		for _, it := range skipped {
 			heap.Push(&s.queue, it)
 		}
 		if picked != nil {
-			picked.State = StateRunning
-			picked.Started = time.Now()
-			picked.Attempts++
-			if err := s.put(picked); err != nil {
+			if err := s.move(picked, StateRunning, time.Since(picked.Submitted)); err != nil {
 				// Persisting the claim failed (store closed mid-shutdown,
 				// or a transient disk error): push the job back so it is
 				// not stranded, and park rather than kill the worker.
-				picked.State = StateQueued
-				s.pushQueue(picked)
+				heap.Push(&s.queue, pickedItem)
 				if s.stopped {
 					return nil
 				}
@@ -1191,13 +1135,6 @@ func (s *Service) next() *Job {
 				s.cond.Wait()
 				continue
 			}
-			s.ownerRunning[picked.Owner]++
-			s.runningCount++
-			wait := picked.Started.Sub(picked.Submitted)
-			if s.queueWaitHist != nil {
-				s.queueWaitHist.Observe(wait)
-			}
-			s.logEvent(picked, StateRunning, wait)
 			return picked
 		}
 		s.cond.Wait()
@@ -1303,12 +1240,6 @@ func (s *Service) finish(j *Job, res ExecResult, execErr error) {
 	if cur, ok := s.Get(j.ID); ok {
 		j.Cancel = cur.Cancel
 	}
-	s.ownerRunning[j.Owner]--
-	if s.ownerRunning[j.Owner] <= 0 {
-		delete(s.ownerRunning, j.Owner)
-	}
-	s.runningCount--
-
 	s.applyResult(j, res)
 	j.Error = ""
 	if execErr != nil {
@@ -1317,50 +1248,34 @@ func (s *Service) finish(j *Job, res ExecResult, execErr error) {
 	}
 
 	failed := execErr != nil || res.ExitCode != 0
+	to, run := StateFailed, time.Since(j.Started)
 	switch {
 	case j.Cancel:
-		j.State = StateCancelled
-		j.Finished = time.Now()
-		s.cancelCount++
+		to = StateCancelled
 	case !failed:
-		j.State = StateDone
-		j.Finished = time.Now()
-		s.doneCount++
+		to = StateDone
 	case j.Attempts <= j.MaxRetries:
-		j.State = StateQueued
-		// The next attempt's spool setup empties the artifact tree, so
-		// references from this failed attempt must not linger on a queued
-		// record where clients could fetch soon-to-vanish files.
+		// A retry's event carries no run time. The next attempt's spool
+		// setup empties the artifact tree, so references from this failed
+		// attempt must not linger on a queued record where clients could
+		// fetch soon-to-vanish files.
+		to, run = StateQueued, 0
 		j.Artifacts = nil
-		s.pushQueue(j)
-	default:
-		j.State = StateFailed
-		j.Finished = time.Now()
-		s.failedCount++
 	}
-	if err := s.put(j); err != nil {
+	if err := s.move(j, to, run); err != nil {
 		// The durable record still says "running"; after a restart the
-		// job would re-run. Surface the inconsistency in the log — there
-		// is no better recovery without a working store.
-		s.srv.Logger().Printf("jobsvc: persist %s state of %s: %v", j.State, j.ID, err)
+		// job would re-run. Surface the inconsistency in the log and free
+		// the owner's slot — there is no better recovery without a
+		// working store.
+		s.srv.Logger().Printf("jobsvc: persist %s state of %s: %v", to, j.ID, err)
+		release(s.ownerRunning, j.Owner)
 	}
-	if Terminal(j.State) {
-		run := j.Finished.Sub(j.Started)
-		if s.runHist != nil {
-			s.runHist.Observe(run)
-		}
-		s.logEvent(j, j.State, run)
-		s.notifyDone(j)
-	} else if j.State == StateQueued {
-		s.publishState(j, StateQueued, 0)
-	}
-	// A finished job frees quota; wake workers parked on fair share, and
-	// a requeued job needs a worker too.
+	// A finished job frees quota; wake workers parked on fair share.
 	s.cond.Broadcast()
 }
 
 // notifyDone announces a terminal transition to the owner's message queue.
-// Callers hold s.mu; messaging only touches the store, never jobsvc.
+// move is the only caller; messaging only touches the store, never jobsvc.
 func (s *Service) notifyDone(j *Job) {
 	if s.notify == nil {
 		return
@@ -1406,17 +1321,13 @@ func (sn Snapshot) Throughput() float64 {
 func (s *Service) Stats() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Count only genuinely queued heap entries (cancelled ones are lazily
-	// dropped, so the heap length can overcount briefly); the cheap
-	// approximation is fine for gauges, but queued = heap minus nothing
-	// here since cancellation rewrites state and workers skip stale items.
 	return Snapshot{
 		Queued:        len(s.queue),
-		Running:       s.runningCount,
-		Remote:        s.remoteCount,
-		Done:          s.doneCount,
-		Failed:        s.failedCount,
-		Cancelled:     s.cancelCount,
+		Running:       s.count[StateRunning],
+		Remote:        s.count[StateRemote],
+		Done:          uint64(s.count[StateDone]),
+		Failed:        uint64(s.count[StateFailed]),
+		Cancelled:     uint64(s.count[StateCancelled]),
 		Workers:       s.cfg.Workers,
 		Uptime:        time.Since(s.started),
 		ArtifactBytes: s.artifactBytes,
@@ -1651,7 +1562,13 @@ func (s *Service) rpcDelete(ctx *core.Context, id string) (bool, error) {
 	return true, s.Delete(id)
 }
 
-func (s *Service) rpcStats(ctx *core.Context) (map[string]any, error) {
+func (s *Service) rpcStats(*core.Context) (map[string]any, error) {
+	return s.statsSection(), nil
+}
+
+// statsSection renders the scheduler counters, as job.stats returns them
+// and as the server's system.stats carries them under "jobs".
+func (s *Service) statsSection() map[string]any {
 	sn := s.Stats()
 	return map[string]any{
 		"queued":           sn.Queued,
@@ -1665,7 +1582,7 @@ func (s *Service) rpcStats(ctx *core.Context) (map[string]any, error) {
 		"throughput_per_s": sn.Throughput(),
 		"artifact_bytes":   int(sn.ArtifactBytes),
 		"artifact_gc":      int(sn.ArtifactGC),
-	}, nil
+	}
 }
 
 var _ core.Service = (*Service)(nil)

@@ -551,8 +551,6 @@ func TestPriorityAgingPromotesStarvedJobs(t *testing.T) {
 	if _, err := s.Submit(alice, "young-high", 10, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Let the ager observe the gap before releasing the worker.
-	time.Sleep(30 * time.Millisecond)
 	close(g.gate)
 	if _, err := s.Wait(hold.ID, 5*time.Second); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -252,6 +253,36 @@ func TestJobCancelAndStatsOverRPC(t *testing.T) {
 	}
 	if w, _ := stats["workers"].(int); w != 1 {
 		t.Errorf("workers = %v", stats["workers"])
+	}
+}
+
+// TestJobStatsSectionMatchesJobStats: system.stats carries the scheduler
+// counters under "jobs" in exactly the shape job.stats returns them.
+func TestJobStatsSectionMatchesJobStats(t *testing.T) {
+	srv, c := startJobServer(t, jobConfig(t, t.TempDir()))
+	sess, _ := srv.NewSessionFor(adminDN)
+	c.SetSession(sess.ID)
+	jobStats, err := c.CallStruct("job.stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := c.CallStruct("system.stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section, _ := sys["jobs"].(map[string]any)
+	for _, key := range []string{"uptime_s", "artifact_gc"} {
+		if _, ok := section[key]; !ok {
+			t.Errorf("system.stats.jobs lacks %s: %v", key, section)
+		}
+	}
+	// The two calls may straddle a second boundary.
+	if up, _ := section["uptime_s"].(int); up-jobStats["uptime_s"].(int) > 1 {
+		t.Errorf("uptime_s = %d in system.stats, %d in job.stats", up, jobStats["uptime_s"])
+	}
+	section["uptime_s"] = jobStats["uptime_s"]
+	if !reflect.DeepEqual(section, jobStats) {
+		t.Errorf("system.stats.jobs = %v\njob.stats        = %v", section, jobStats)
 	}
 }
 
