@@ -362,7 +362,9 @@ func TestChaosFederationPeerKilledAndRevived(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, j := range jobs {
-			if j.Peer == "site1" {
+			// Peer is set when the forward is claimed, RemoteID only
+			// once site1 has accepted the job.
+			if j.Peer == "site1" && j.RemoteID != "" {
 				bound = true
 			}
 		}

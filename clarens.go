@@ -243,12 +243,6 @@ type Config struct {
 	// concurrent RPCs; clients that offer no ALPN (the /ws dialer, old
 	// tooling) still negotiate HTTP/1.1.
 	DisableHTTP2 bool
-	// OpenSystem controls anonymous access to the system module
-	// (default true, matching the paper's Figure 4 environment).
-	OpenSystem *bool
-	// DisableAuth skips the per-request session and ACL checks
-	// (benchmark ablation A1 only).
-	DisableAuth bool
 	// MethodTimeout bounds each method invocation server-wide; handlers
 	// observe the deadline through their request context. Zero means
 	// unbounded (individual methods may still set Method.Timeout).
@@ -334,8 +328,9 @@ type Server struct {
 	publisher  *monalisa.Publisher
 	name       string
 
-	telemetryStop chan struct{}
-	telemetryWG   sync.WaitGroup
+	// stopTelemetry stops the telemetry republisher and waits for it.
+	// Calling it again, or concurrently (Close during Shutdown), is safe.
+	stopTelemetry func()
 
 	issuerMu       sync.RWMutex
 	trustedIssuers map[string]bool // delegation issuer URL allowlist
@@ -358,8 +353,6 @@ func NewServer(cfg Config) (*Server, error) {
 		SessionTTL:       cfg.SessionTTL,
 		TLS:              cfg.TLS,
 		DisableHTTP2:     cfg.DisableHTTP2,
-		OpenSystem:       cfg.OpenSystem,
-		DisableAuth:      cfg.DisableAuth,
 		MethodTimeout:    cfg.MethodTimeout,
 		MaxBatchCalls:    cfg.MaxBatchCalls,
 		BatchParallelism: cfg.BatchParallelism,
@@ -382,7 +375,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if !cfg.DisablePush {
 		cs.MountWS("/ws")
 	}
-	s := &Server{core: cs, name: cfg.Name, trustedIssuers: make(map[string]bool, len(cfg.FederationIssuers))}
+	s := &Server{core: cs, name: cfg.Name, trustedIssuers: make(map[string]bool, len(cfg.FederationIssuers)), stopTelemetry: func() {}}
 	for _, u := range cfg.FederationIssuers {
 		s.trustedIssuers[normalizeIssuerURL(u)] = true
 	}
@@ -623,9 +616,13 @@ func NewServer(cfg Config) (*Server, error) {
 		if every == 0 {
 			every = 10 * time.Second
 		}
-		s.telemetryStop = make(chan struct{})
-		s.telemetryWG.Add(1)
-		go s.republishTelemetry(every)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.republishTelemetry(ctx, every)
+		}()
+		s.stopTelemetry = func() { cancel(); <-done }
 	}
 	return s, nil
 }
@@ -653,14 +650,13 @@ func recordEvent(rec *monalisa.Record) pubsub.Event {
 // observers that skip the WebSocket hop).
 func (s *Server) Events() *Bus { return s.core.Events() }
 
-// republishTelemetry calls PublishTelemetry periodically until Close.
-func (s *Server) republishTelemetry(every time.Duration) {
-	defer s.telemetryWG.Done()
+// republishTelemetry calls PublishTelemetry periodically until ctx ends.
+func (s *Server) republishTelemetry(ctx context.Context, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.telemetryStop:
+		case <-ctx.Done():
 			return
 		case <-t.C:
 			s.PublishTelemetry()
@@ -828,35 +824,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// 1. Quiesce the RPC surface while everything below still runs, so
 	// in-flight calls (job.wait, message.wait, ...) complete normally.
 	err := s.core.Drain(ctx)
-	if s.telemetryStop != nil {
-		close(s.telemetryStop)
-		s.telemetryWG.Wait()
-		s.telemetryStop = nil
+	// 2. Stop the subsystems; the job workers drain and make the queue
+	// checkpoint durable.
+	if serr := s.stopSubsystems(func() error { return s.Jobs.Drain(ctx) }); err == nil {
+		err = serr
 	}
-	// 2. Stop the forwarding loop before the workers so no new
-	// delegations race the drain.
-	if s.Federation != nil {
-		s.Federation.Stop()
-	}
-	// 3. Drain workers and make the queue checkpoint durable.
-	if s.Jobs != nil {
-		if derr := s.Jobs.Drain(ctx); derr != nil && err == nil {
-			err = derr
-		}
-	}
-	if s.Discovery != nil {
-		s.Discovery.StopPeriodic()
-	}
-	if s.aggregator != nil {
-		s.aggregator.Close()
-	}
-	if s.publisher != nil {
-		s.publisher.Close()
-	}
-	if s.station != nil {
-		s.station.Close()
-	}
-	// 4. Broadcast "closing" on /ws, stop the listener, compact + close.
+	// 3. Broadcast "closing" on /ws, stop the listener, compact + close.
 	if cerr := s.core.Shutdown(ctx); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -865,16 +838,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close shuts everything down.
 func (s *Server) Close() error {
-	if s.telemetryStop != nil {
-		close(s.telemetryStop)
-		s.telemetryWG.Wait()
-		s.telemetryStop = nil
-	}
+	s.stopSubsystems(func() error { s.Jobs.Stop(); return nil })
+	return s.core.Close()
+}
+
+// stopSubsystems stops everything above the core: the telemetry
+// republisher, the forwarding loop before the job workers so no new
+// delegations race their stop, the workers with stopJobs, then
+// discovery and the MonALISA plumbing. It returns stopJobs' error.
+func (s *Server) stopSubsystems(stopJobs func() error) error {
+	s.stopTelemetry()
 	if s.Federation != nil {
 		s.Federation.Stop()
 	}
+	var err error
 	if s.Jobs != nil {
-		s.Jobs.Stop()
+		err = stopJobs()
 	}
 	if s.Discovery != nil {
 		s.Discovery.StopPeriodic()
@@ -888,5 +867,5 @@ func (s *Server) Close() error {
 	if s.station != nil {
 		s.station.Close()
 	}
-	return s.core.Close()
+	return err
 }

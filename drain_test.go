@@ -219,3 +219,45 @@ func TestGracefulDrainCompletesInFlightWork(t *testing.T) {
 		t.Fatalf("drained job lost its terminal state across restart: %+v", j)
 	}
 }
+
+// TestCloseDuringShutdown is clarens-server's second-signal path: Close
+// while Shutdown is still draining a blocked call. Both stop the
+// telemetry republisher, which must stop exactly once; under -race
+// neither may touch it unguarded.
+func TestCloseDuringShutdown(t *testing.T) {
+	srv, err := NewServer(Config{Name: "hardstop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register(slowEchoService{delay: 300 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.GrantMethod("slow", []string{EntryAny, EntryAnonymous}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(srv.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	go c.Call("slow.echo", "x")
+	for srv.Core().InFlight() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	shutdown := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shutdown <- srv.Shutdown(ctx)
+	}()
+	for !srv.Core().Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.Close(); err != nil {
+		t.Logf("Close: %v", err)
+	}
+	<-shutdown
+}

@@ -5,6 +5,13 @@
 // element named after the method in the urn:clarens namespace, parameters
 // carry xsi:type attributes, arrays use SOAP-ENC:Array, and errors are
 // SOAP Faults.
+//
+// # Accepted language
+//
+// Both decoders are a grammar over internal/rpc/xmlscan, XML-RPC's
+// lexer. Names are read by local part; Envelope children other than the
+// first Body, and Body children after the first, are skipped whole; an
+// element holds child elements or text, never both.
 package soaprpc
 
 import (
@@ -13,11 +20,13 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"clarens/internal/rpc"
+	"clarens/internal/rpc/xmlscan"
 )
 
 // Codec is the SOAP 1.1 implementation of rpc.Codec.
@@ -189,228 +198,197 @@ func (*Codec) EncodeResponse(w io.Writer, resp *rpc.Response) error {
 
 // --- decoding ---
 
-type element struct {
-	name     string
-	attrs    map[string]string
-	text     string
-	children []*element
+// decoder is the SOAP grammar over the lexer. A value that does not
+// parse as its xsi:type is kept in bad and the pass goes on, so a
+// malformed document is still a parse error.
+type decoder struct {
+	*xmlscan.Scanner
+	bad   error
+	param int // the request parameter bad is in
 }
 
-// parseElement builds a lightweight DOM below the given start element,
-// which is depth elements down from the document root.
-func parseElement(d *xml.Decoder, se xml.StartElement, depth int) (*element, error) {
-	if depth > rpc.MaxDepth {
-		return nil, fmt.Errorf("soaprpc: elements nested deeper than %d", rpc.MaxDepth)
-	}
-	el := &element{name: se.Name.Local, attrs: map[string]string{}}
-	for _, a := range se.Attr {
-		el.attrs[a.Name.Local] = a.Value
-	}
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return nil, err
+// children reads the element opened as raw through its end tag, passing
+// the first child with each local name in want (at most two) to read and
+// skipping the rest. It reports whether there was a child named want[0].
+func (d *decoder) children(raw []byte, want []string, read func(i int, child []byte)) bool {
+	var seen [2]bool
+	for !d.AtEnd() {
+		child, local := d.StartTag()
+		if i := slices.Index(want, string(local)); i >= 0 && !seen[i] {
+			seen[i] = true
+			read(i, child)
+		} else {
+			d.Skip(child)
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-			el.text += string(t)
-		case xml.StartElement:
-			child, err := parseElement(d, t, depth+1)
-			if err != nil {
-				return nil, err
+	}
+	d.Close(raw)
+	return seen[0]
+}
+
+// decode reads one Envelope from r. Only its first Body counts, and in
+// that only the first child, which content decodes.
+func decode[T any](r io.Reader, content func(d *decoder, raw, local []byte) T) (T, *decoder, error) {
+	d := new(decoder)
+	v, err := xmlscan.Parse(r, func(s *xmlscan.Scanner) (v T) {
+		d.Scanner = s
+		if !d.children(d.Open("Envelope"), []string{"Body"}, func(_ int, body []byte) {
+			if d.AtEnd() {
+				d.Fail("empty Body")
 			}
-			el.children = append(el.children, child)
-		case xml.EndElement:
-			return el, nil
+			raw, local := d.StartTag()
+			v = content(d, raw, local)
+			d.children(body, nil, nil)
+		}) {
+			d.Fail("no Body")
 		}
-	}
+		return v
+	})
+	return v, d, err
 }
 
-func (el *element) child(name string) *element {
-	for _, c := range el.children {
-		if c.name == name {
-			return c
+// request reads the call element: its local name is the method, its
+// children are the parameters in order.
+func (d *decoder) request(raw, local []byte) *rpc.Request {
+	req := &rpc.Request{Method: string(local)}
+	for !d.AtEnd() {
+		param, _ := d.StartTag()
+		if d.bad == nil {
+			d.param = len(req.Params)
 		}
+		req.Params = append(req.Params, d.value(param))
 	}
-	return nil
+	d.Close(raw)
+	return req
 }
 
-func decodeTyped(el *element) (any, error) {
-	if el.attrs["nil"] == "true" || el.attrs["null"] == "1" {
-		return nil, nil
+// response reads a Fault, made of its first faultstring and the first
+// code in its first detail, or the first return child of any other
+// element.
+func (d *decoder) response(raw, local []byte) *rpc.Response {
+	if string(local) == "Fault" {
+		f := &rpc.Fault{Code: rpc.CodeApplication}
+		d.children(raw, []string{"faultstring", "detail"}, func(i int, child []byte) {
+			if i == 0 {
+				f.Message = string(bytes.TrimSpace(d.Leaf(child)))
+				return
+			}
+			d.children(child, []string{"code"}, func(_ int, code []byte) {
+				if n, err := strconv.Atoi(string(bytes.TrimSpace(d.Leaf(code)))); err == nil {
+					f.Code = n
+				}
+			})
+		})
+		return &rpc.Response{Fault: f}
 	}
-	xsiType := el.attrs["type"]
-	// Strip the namespace prefix: xsd:string -> string.
-	if i := strings.IndexByte(xsiType, ':'); i >= 0 {
-		xsiType = xsiType[i+1:]
+	resp := &rpc.Response{}
+	if !d.children(raw, []string{"return"}, func(_ int, ret []byte) { resp.Result = d.value(ret) }) {
+		d.Fail("response has no return element")
 	}
-	text := strings.TrimSpace(el.text)
-	switch xsiType {
-	case "string":
-		// Whitespace is significant in strings; use the raw text.
-		return el.text, nil
-	case "boolean":
-		switch text {
-		case "true", "1":
-			return true, nil
-		case "false", "0":
-			return false, nil
-		}
-		return nil, fmt.Errorf("soaprpc: bad boolean %q", text)
-	case "int", "long", "short", "byte", "integer":
-		n, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("soaprpc: bad %s %q", xsiType, text)
-		}
-		return int(n), nil
-	case "double", "float", "decimal":
-		f, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("soaprpc: bad %s %q", xsiType, text)
-		}
-		return f, nil
-	case "base64Binary", "base64":
-		data, err := base64.StdEncoding.DecodeString(text)
-		if err != nil {
-			return nil, fmt.Errorf("soaprpc: bad base64: %w", err)
-		}
-		return data, nil
-	case "dateTime":
-		t, err := time.Parse(time.RFC3339Nano, text)
-		if err != nil {
-			return nil, fmt.Errorf("soaprpc: bad dateTime %q", text)
-		}
-		return t.UTC(), nil
+	return resp
+}
+
+// value decodes the element opened as raw by the local part of its
+// xsi:type: xsi:nil="true" or null="1" is nil whatever it holds; an
+// Array holds items in order, a Struct members by local name; an
+// untyped element is a struct when it has children and a string
+// otherwise; every other type is a leaf.
+func (d *decoder) value(raw []byte) any {
+	if string(d.Attr("nil")) == "true" || string(d.Attr("null")) == "1" {
+		d.Skip(raw)
+		return nil
+	}
+	typ := d.Attr("type") // the local part counts: xsd:string is string
+	switch kind := string(typ[bytes.IndexByte(typ, ':')+1:]); kind {
 	case "Array":
-		arr := make([]any, 0, len(el.children))
-		for _, c := range el.children {
-			v, err := decodeTyped(c)
-			if err != nil {
-				return nil, err
-			}
-			arr = append(arr, v)
+		arr := []any{}
+		for !d.AtEnd() {
+			item, _ := d.StartTag()
+			arr = append(arr, d.value(item))
 		}
-		return arr, nil
-	case "Struct":
-		m := make(map[string]any, len(el.children))
-		for _, c := range el.children {
-			v, err := decodeTyped(c)
-			if err != nil {
-				return nil, err
-			}
-			m[c.name] = v
-		}
-		return m, nil
-	case "":
-		// Untyped: infer a struct if there are children, string otherwise.
-		if len(el.children) > 0 {
-			m := make(map[string]any, len(el.children))
-			for _, c := range el.children {
-				v, err := decodeTyped(c)
-				if err != nil {
-					return nil, err
-				}
-				m[c.name] = v
-			}
-			return m, nil
-		}
-		return el.text, nil
+		d.Close(raw)
+		return arr
+	case "Struct": // members, below
 	default:
-		return nil, fmt.Errorf("soaprpc: unsupported xsi:type %q", xsiType)
+		text := d.Text()
+		if kind != "" || d.AtEnd() {
+			d.Close(raw)
+			v, err := scalar(kind, text)
+			if err != nil && d.bad == nil {
+				d.bad = err
+			}
+			return v
+		}
+		if len(bytes.TrimLeft(text, " \t\n")) != 0 {
+			d.Fail("text beside child elements")
+		}
 	}
+	m := map[string]any{}
+	for !d.AtEnd() {
+		member, name := d.StartTag()
+		m[string(name)] = d.value(member)
+	}
+	d.Close(raw)
+	return m
 }
 
-// parseEnvelope returns the first element inside Body.
-func parseEnvelope(r io.Reader) (*element, error) {
-	d := xml.NewDecoder(r)
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return nil, err
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			if se.Name.Local != "Envelope" {
-				return nil, fmt.Errorf("soaprpc: expected Envelope, got %s", se.Name.Local)
-			}
-			break
-		}
+// scalar parses the text of a leaf whose xsi:type is kind.
+func scalar(kind string, text []byte) (any, error) {
+	if kind == "" || kind == "string" {
+		// Whitespace is significant in strings; use the raw text.
+		return string(text), nil
 	}
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return nil, err
+	s := string(bytes.TrimSpace(text))
+	var v any
+	err := strconv.ErrSyntax
+	switch kind {
+	case "boolean":
+		if s == "true" || s == "1" || s == "false" || s == "0" {
+			v, err = s == "true" || s == "1", nil
 		}
-		if se, ok := tok.(xml.StartElement); ok {
-			if se.Name.Local != "Body" {
-				// Skip Header or other children of Envelope.
-				if err := d.Skip(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
-		}
+	case "int", "long", "short", "byte", "integer":
+		var n int64
+		n, err = strconv.ParseInt(s, 10, 64)
+		v = int(n)
+	case "double", "float", "decimal":
+		v, err = strconv.ParseFloat(s, 64)
+	case "base64Binary", "base64":
+		v, err = base64.StdEncoding.DecodeString(s)
+	case "dateTime":
+		var t time.Time
+		t, err = time.Parse(time.RFC3339Nano, s)
+		v = t.UTC()
+	default:
+		return nil, fmt.Errorf("soaprpc: unsupported xsi:type %q", kind)
 	}
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return nil, err
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			return parseElement(d, se, 3) // Envelope, Body, se
-		}
-		if _, ok := tok.(xml.EndElement); ok {
-			return nil, fmt.Errorf("soaprpc: empty Body")
-		}
-	}
-}
-
-// DecodeRequest implements rpc.Codec.
-func (*Codec) DecodeRequest(r io.Reader) (*rpc.Request, error) {
-	call, err := parseEnvelope(r)
 	if err != nil {
-		return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+		return nil, fmt.Errorf("soaprpc: bad %s %q", kind, s)
 	}
-	req := &rpc.Request{Method: call.name}
-	for i, c := range call.children {
-		v, err := decodeTyped(c)
-		if err != nil {
-			return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("param %d: %v", i, err)}
-		}
-		req.Params = append(req.Params, v)
+	return v, nil
+}
+
+// DecodeRequest implements rpc.Codec. A document outside the language in
+// the package comment is a CodeParse fault; a parameter that does not
+// parse as its xsi:type is a CodeInvalidParams fault.
+func (*Codec) DecodeRequest(r io.Reader) (*rpc.Request, error) {
+	req, d, err := decode(r, (*decoder).request)
+	if err != nil {
+		return nil, &rpc.Fault{Code: rpc.CodeParse, Message: "soaprpc: " + err.Error()}
+	}
+	if d.bad != nil {
+		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("param %d: %v", d.param, d.bad)}
 	}
 	return req, nil
 }
 
-// DecodeResponse implements rpc.Codec.
+// DecodeResponse implements rpc.Codec. A malformed reply is a plain
+// error, not a fault, so a client does not mistake it for the server's
+// answer.
 func (*Codec) DecodeResponse(r io.Reader) (*rpc.Response, error) {
-	body, err := parseEnvelope(r)
+	resp, d, err := decode(r, (*decoder).response)
 	if err != nil {
 		return nil, fmt.Errorf("soaprpc: %w", err)
 	}
-	if body.name == "Fault" {
-		f := &rpc.Fault{Code: rpc.CodeApplication}
-		if fs := body.child("faultstring"); fs != nil {
-			f.Message = strings.TrimSpace(fs.text)
-		}
-		if det := body.child("detail"); det != nil {
-			if code := det.child("code"); code != nil {
-				if n, err := strconv.Atoi(strings.TrimSpace(code.text)); err == nil {
-					f.Code = n
-				}
-			}
-		}
-		return &rpc.Response{Fault: f}, nil
-	}
-	ret := body.child("return")
-	if ret == nil {
-		return nil, fmt.Errorf("soaprpc: response has no return element")
-	}
-	v, err := decodeTyped(ret)
-	if err != nil {
-		return nil, err
-	}
-	return &rpc.Response{Result: v}, nil
+	return resp, d.bad
 }
 
 var _ rpc.Codec = (*Codec)(nil)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -207,52 +206,6 @@ func TestPythonCaptures(t *testing.T) {
 	}
 	if resp.Fault == nil || *resp.Fault != (rpc.Fault{Code: 4, Message: "Too many parameters."}) {
 		t.Errorf("fault = %+v", resp.Fault)
-	}
-}
-
-// TestDeclarationMatchesRegexp holds decl to the regular expression
-// it replaced, on every prefix of a set of declarations and on every
-// one-byte substitution in them from the bytes the grammar turns on.
-func TestDeclarationMatchesRegexp(t *testing.T) {
-	old := regexp.MustCompile(`^<\?xml[ \t\r\n]+version=("1\.0"|'1\.0')` +
-		`([ \t\r\n]+encoding=("(?i:utf-8)"|'(?i:utf-8)'))?` +
-		`([ \t\r\n]+standalone=("(yes|no)"|'(yes|no)'))?[ \t\r\n]*\?>`)
-	decls := []string{
-		`<?xml version="1.0"?>`,
-		`<?xml version='1.0' encoding='UTF-8' standalone='no' ?>`,
-		"<?xml\tversion=\"1.0\"\r\nencoding=\"uTf-8\"\n\n?>",
-		`<?xml version="1.0" standalone="yes"?>`,
-		`<?xml version="1.0" encoding='utf-8"?>`,
-		`<?xml version="1.0" standalone="yes" encoding="utf-8"?>`,
-		`<?xml version="1.0"encoding="utf-8"?>`,
-		`<?xml-stylesheet version="1.0"?>`,
-	}
-	alphabet := []byte(" \t\"'<>?=-.01aefgnostuvxyFUYK\x00\xff")
-	check := func(doc []byte) {
-		want := 0
-		if loc := old.FindIndex(doc); loc != nil {
-			want = loc[1]
-		}
-		p := &parser{buf: doc}
-		if p.decl(); p.err != nil {
-			p.pos = 0
-		}
-		if p.pos != want {
-			t.Errorf("decl(%q) ends at %d, regexp at %d", doc, p.pos, want)
-		}
-	}
-	for _, d := range decls {
-		doc := []byte(d + "<methodCall/>")
-		for n := len("<?xml"); n <= len(doc); n++ {
-			check(doc[:n])
-		}
-		for i := len("<?xml"); i < len(d); i++ {
-			for _, c := range alphabet {
-				mutated := bytes.Clone(doc)
-				mutated[i] = c
-				check(mutated)
-			}
-		}
 	}
 }
 
