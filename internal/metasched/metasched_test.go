@@ -695,24 +695,43 @@ func TestPartitionedPeerOrphanCancelledOnReturn(t *testing.T) {
 // follows: a fault answer means the peer is alive, so the connection
 // stays cached and the breaker records no failure; a transport error
 // counts one breaker failure and drops the connection, so the next call
-// re-dials.
+// re-dials. A failed forward also force-opens the peer's breaker, so the
+// forward rows find it open and reset it before checking for a re-dial.
 func TestPeerExchangeOutcomes(t *testing.T) {
 	const url = "http://peer1/rpc"
+	otherDN := pki.MustParseDN("/O=grid/OU=People/CN=Other User")
+	watch := func(h *harness, j *jobsvc.Job) { h.sched.watchRemote() }
+	// forwardOther queues a job for an owner with no delegated session
+	// yet, so its forward logs in on the peer before it submits.
+	forwardOther := func(h *harness, j *jobsvc.Job) {
+		if _, err := h.jobs.Submit(otherDN, "echo other", 0, 0); err != nil {
+			t.Error(err)
+		}
+		h.sched.forward()
+	}
 	callers := []struct {
-		name   string
-		method string // the outcome is injected on this method ("system.multicall": the whole batch)
-		run    func(h *harness, j *jobsvc.Job)
+		name      string
+		method    string // the outcome is injected on this method ("system.multicall": the whole batch)
+		status    string // the peer's job.status answer; "expired" is an auth fault
+		artifact  bool   // job.output references an artifact fetched with file.read
+		penalized bool   // a failure force-opens the breaker
+		run       func(h *harness, j *jobsvc.Job)
 	}{
-		{"stats poll", "job.stats", func(h *harness, j *jobsvc.Job) { h.sched.pollPeers() }},
-		{"watch sweep", "system.multicall", func(h *harness, j *jobsvc.Job) { h.sched.watchRemote() }},
-		{"orphan reap", "job.cancel", func(h *harness, j *jobsvc.Job) {
+		{name: "stats poll", method: "job.stats", run: func(h *harness, j *jobsvc.Job) { h.sched.pollPeers() }},
+		{name: "watch sweep", method: "system.multicall", run: watch},
+		{name: "orphan reap", method: "job.cancel", run: func(h *harness, j *jobsvc.Job) {
 			h.sched.mu.Lock()
 			h.sched.orphans[url] = []orphan{{remoteID: j.RemoteID, token: j.PeerSession}}
 			h.sched.mu.Unlock()
 			h.sched.reapOrphans()
 		}},
-		{"Refresh", "system.multicall", func(h *harness, j *jobsvc.Job) { h.sched.Refresh(j) }},
-		{"CancelRemote", "job.cancel", func(h *harness, j *jobsvc.Job) { h.sched.CancelRemote(j) }},
+		{name: "Refresh", method: "system.multicall", run: func(h *harness, j *jobsvc.Job) { h.sched.Refresh(j) }},
+		{name: "CancelRemote", method: "job.cancel", run: func(h *harness, j *jobsvc.Job) { h.sched.CancelRemote(j) }},
+		{name: "forward login", method: "proxy.login_delegated", penalized: true, run: forwardOther},
+		{name: "forward submit", method: "system.multicall", penalized: true, run: forwardOther},
+		{name: "pull-back", method: "job.output", status: "done", run: watch},
+		{name: "artifact", method: "file.read", status: "done", artifact: true, run: watch},
+		{name: "renewal", method: "proxy.login_delegated", status: "expired", run: watch},
 	}
 	outcomes := []struct {
 		name     string
@@ -726,12 +745,27 @@ func TestPeerExchangeOutcomes(t *testing.T) {
 	for _, c := range callers {
 		for _, o := range outcomes {
 			t.Run(c.name+"/"+o.name, func(t *testing.T) {
-				h := newHarness(t, Config{Pressure: -1}, nil)
+				stager := &tempStager{root: t.TempDir()}
+				h := newHarnessJobs(t, Config{Pressure: -1}, jobsvc.Config{Workers: 1, Artifacts: stager}, nil)
 				conn := h.addPeer("peer1", url, 4)
 				base := conn.handle
 				conn.handle = func(token, method string, params []any) (any, error) {
-					if method == "job.status" {
-						return map[string]any{"state": "running"}, nil
+					switch method {
+					case "job.status":
+						switch c.status {
+						case "":
+							return map[string]any{"state": "running"}, nil
+						case "expired":
+							return nil, &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "session expired"}
+						}
+						return map[string]any{"state": c.status}, nil
+					case "job.output":
+						if c.artifact {
+							return map[string]any{"stdout": "h", "stderr": "", "exit_code": 0, "truncated": true,
+								"artifacts": []any{map[string]any{"name": "stdout", "path": "/jobs/r/stdout", "size": 4}}}, nil
+						}
+					case "file.read":
+						return map[string]any{"data": []byte("data"), "eof": true}, nil
 					}
 					return base(token, method, params)
 				}
@@ -755,17 +789,118 @@ func TestPeerExchangeOutcomes(t *testing.T) {
 				if got := h.sched.breakers.For(url).Stats().Failures - before; got != o.failures {
 					t.Errorf("breaker failures +%d, want +%d", got, o.failures)
 				}
-				if st := h.sched.breakers.State(url); st != resilience.Closed {
-					t.Errorf("breaker %s, want closed", st)
+				want := resilience.Closed
+				if c.penalized {
+					want = resilience.Open
+				}
+				if st := h.sched.breakers.State(url); st != want {
+					t.Errorf("breaker %s, want %s", st, want)
+				}
+				if c.penalized {
+					h.sched.breakers.Forget(url) // let the next call through
 				}
 				h.sched.pollPeers()
 				if redialed := h.dialCount(url) > 1; redialed != o.redial {
 					t.Errorf("next call re-dialed = %v, want %v", redialed, o.redial)
 				}
-				h.gate <- struct{}{} // release the blocker
+				// Release the blocker and any job that fell back behind it.
+				h.gate <- struct{}{}
+				h.gate <- struct{}{}
 			})
 		}
 	}
+}
+
+// TestFailedPushDialPollsTheWholeGroup: a group whose push dial fails
+// has no stream, so every Kick status-polls all of its jobs, and the
+// dial is tried again only once its backoff (5s at this poll interval)
+// has passed.
+func TestFailedPushDialPollsTheWholeGroup(t *testing.T) {
+	var mu sync.Mutex
+	dials := 0
+	dialed := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return dials
+	}
+	refuse := func(url, token, query string) (EventStream, error) {
+		mu.Lock()
+		dials++
+		mu.Unlock()
+		return nil, errors.New("no /ws endpoint")
+	}
+	h := newHarness(t, Config{Pressure: -1, PollInterval: 10 * time.Millisecond, EventDial: refuse}, nil)
+	conn := h.addPeer("peer1", "http://peer1/rpc", 4)
+	base := conn.handle
+	conn.handle = func(token, method string, params []any) (any, error) {
+		if method == "job.status" {
+			return map[string]any{"state": "running"}, nil
+		}
+		return base(token, method, params)
+	}
+	h.occupy(t)
+	h.submit(t, 2)
+	h.sched.Kick() // forward both jobs
+	if st := h.sched.Stats(); st.Forwarded != 2 {
+		t.Fatalf("stats = %+v, want 2 forwarded", st)
+	}
+	var failedAt time.Time
+	for i := 1; i <= 3; i++ {
+		h.sched.Kick()
+		if i == 1 {
+			failedAt = time.Now()
+		}
+		if st := h.sched.Stats(); st.StatusRPCs != uint64(2*i) || st.PushWatches != 0 {
+			t.Fatalf("cycle %d: stats = %+v, want %d status polls and no push watch", i, st, 2*i)
+		}
+		if n := dialed(); n != 1 {
+			t.Fatalf("cycle %d: push dials = %d, want 1 (no re-dial inside the backoff)", i, n)
+		}
+	}
+	time.Sleep(time.Until(failedAt.Add(5*time.Second)) + 20*time.Millisecond)
+	h.sched.Kick()
+	if n := dialed(); n != 2 {
+		t.Errorf("push dials = %d after the backoff, want 2", n)
+	}
+	if st := h.sched.Stats(); st.StatusRPCs != 8 {
+		t.Errorf("StatusRPCs = %d, want 8 (the whole group, every cycle)", st.StatusRPCs)
+	}
+	h.gate <- struct{}{} // release the blocker
+}
+
+// TestExpiringPeerKeepsOtherPeersSessions: when a peer's discovery
+// record expires, only its own delegated sessions are dropped — not
+// those of a peer whose name merely starts with the expired name.
+func TestExpiringPeerKeepsOtherPeersSessions(t *testing.T) {
+	h := newHarness(t, Config{Pressure: -1}, nil)
+	h.addPeer("site", "http://site/rpc", 1)
+	other := h.addPeer("site|b", "http://siteb/rpc", 1)
+	h.occupy(t)
+	h.submit(t, 2)
+	h.sched.Kick() // one job to each peer, one delegation handoff each
+	if st := h.sched.Stats(); st.Forwarded != 2 || other.callCount("proxy.login_delegated") != 1 {
+		t.Fatalf("stats = %+v, site|b logins = %d; want 2 forwarded and 1 login", st, other.callCount("proxy.login_delegated"))
+	}
+	// Peer "site" stops advertising and its record's TTL runs out.
+	h.peers.mu.Lock()
+	h.peers.entries = h.peers.entries[1:]
+	h.peers.mu.Unlock()
+	h.sched.mu.Lock()
+	h.sched.table["site"].expires = time.Time{}
+	h.sched.mu.Unlock()
+	h.sched.Kick() // "site" leaves the table; both results are pulled back
+	if st := h.sched.Stats(); st.Peers != 1 || st.PulledBack != 2 {
+		t.Fatalf("stats = %+v, want 1 peer and 2 pulled back", st)
+	}
+	h.submit(t, 1)
+	h.sched.Kick() // forwarded to site|b under its cached session
+	if st := h.sched.Stats(); st.Forwarded != 3 {
+		t.Fatalf("stats = %+v, want 3 forwarded", st)
+	}
+	if n := other.callCount("proxy.login_delegated"); n != 1 {
+		t.Errorf("site|b logins = %d, want 1 (its session outlives peer site)", n)
+	}
+	h.gate <- struct{}{} // release the blocker
 }
 
 // TestRedialedWatchCoversTheGap: when a push watch's stream ends, the
