@@ -266,7 +266,7 @@ type Config struct {
 	// DisablePush skips mounting the push-event WebSocket endpoint at
 	// /ws. The in-process event bus still runs (services publish either
 	// way); only the network surface is withheld. Peers watching this
-	// server's jobs then fall back to batch polling.
+	// server's jobs then status-poll all of them every cycle.
 	DisablePush bool
 	// RequestLog, when set, receives one structured entry per RPC
 	// dispatch (method, trace and span IDs, duration, caller DN, fault)
@@ -516,9 +516,6 @@ func NewServer(cfg Config) (*Server, error) {
 			ArtifactRetention: cfg.JobArtifactRetention,
 			Artifacts:         stager,
 			Collector:         collector,
-			Telemetry:         cs.Telemetry(),
-			Events:            cs.RequestLog(),
-			Spans:             cs.Spans(),
 		}, exec, notify)
 		if err != nil {
 			return fail(err)
@@ -576,23 +573,7 @@ func NewServer(cfg Config) (*Server, error) {
 			return fail(err)
 		}
 		s.Federation = ms
-		reg := cs.Telemetry()
-		reg.RegisterGauge("clarens.federation.peers", "live job-service peers in the federation table", func() float64 { return float64(ms.Stats().Peers) })
-		reg.RegisterGauge("clarens.federation.forwarded", "jobs accepted by peers", func() float64 { return float64(ms.Stats().Forwarded) })
-		reg.RegisterGauge("clarens.federation.pulled_back", "remote results finalized locally", func() float64 { return float64(ms.Stats().PulledBack) })
-		reg.RegisterGauge("clarens.federation.fallbacks", "jobs returned to the local queue after a peer failure", func() float64 { return float64(ms.Stats().Fallbacks) })
-		reg.RegisterGauge("clarens.federation.artifact_bytes", "artifact bytes fetched from peers and re-staged", func() float64 { return float64(ms.Stats().ArtifactBytes) })
-		reg.RegisterGauge("clarens.federation.status_rpcs", "job.status calls issued by the remote watch loop", func() float64 { return float64(ms.Stats().StatusRPCs) })
-		reg.RegisterGauge("clarens.federation.push_events", "peer job events received over push subscriptions", func() float64 { return float64(ms.Stats().PushEvents) })
-		cs.RegisterStatsSection("federation", func() map[string]any {
-			st := ms.Stats()
-			return map[string]any{
-				"peers": st.Peers, "forwarded": st.Forwarded, "pulled_back": st.PulledBack,
-				"fallbacks": st.Fallbacks, "artifact_bytes": st.ArtifactBytes,
-				"status_rpcs": st.StatusRPCs, "push_events": st.PushEvents,
-				"push_watches": st.PushWatches, "breaker_open": st.BreakerOpen,
-			}
-		})
+		cs.RegisterStatsSection("federation", ms.StatsSection)
 		ms.Start()
 	} else if s.Jobs != nil {
 		// Remote shadow records recovered from a previous federated run

@@ -589,6 +589,35 @@ func TestFederationUntrustedIssuerRefused(t *testing.T) {
 	}
 }
 
+// TestFederationStatsSectionMatchesGauges: the "federation" system.stats
+// section and the clarens.federation.<key> gauges come from one table,
+// so every section key has a gauge with the same value.
+func TestFederationStatsSectionMatchesGauges(t *testing.T) {
+	srv := bootFederation(t, 1, func(i int, cfg *Config) { cfg.PeerPollInterval = time.Hour })[0]
+	c, err := Dial(srv.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	sess, _ := srv.NewSessionFor(adminDN)
+	c.SetSession(sess.ID)
+	sys, err := c.CallStruct("system.stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section, _ := sys["federation"].(map[string]any)
+	if len(section) == 0 {
+		t.Fatalf("system.stats has no federation section: %v", sys)
+	}
+	gauges := srv.Core().Telemetry().GaugeValues()
+	for key, v := range section {
+		g, ok := gauges["clarens.federation."+key]
+		if n, isInt := v.(int); !ok || !isInt || g != float64(n) {
+			t.Errorf("section %s = %v (%T), gauge = %v (registered: %v)", key, v, v, g, ok)
+		}
+	}
+}
+
 // TestFederationArtifactPullBack is the federated staging acceptance
 // path: a job with multi-hundred-KiB output executes on a peer, the
 // watch loop re-stages the peer's artifact locally, and the submitting

@@ -203,23 +203,6 @@ type Config struct {
 	// AgeStep is the priority increment per AgeInterval waited
 	// (default 1).
 	AgeStep int
-	// Telemetry, when set, receives the clarens.job.* gauges (queue
-	// depth, outcome counts, throughput) and the job lifecycle latency
-	// histograms: queue wait (submitted→started), run duration
-	// (started→finished), and per-attempt output staging time.
-	Telemetry *telemetry.Registry
-	// Events, when set, receives one structured log entry per job state
-	// transition — submission, start, retry, cancellation, forwarding to
-	// a peer, fallback, local or remote completion, restart recovery —
-	// carrying the new state, the job's trace ID and, where one was
-	// measured, the transition's duration. Nil disables lifecycle logging.
-	Events *slog.Logger
-	// Spans, when set, links job executions into the flight recorder: a
-	// terminal transition records a synthetic "job.exec" span on the
-	// job's trace, so `clarens trace <id>` shows the execution — its
-	// queue wait absorbed into start time, run duration, and outcome —
-	// alongside the RPC spans that submitted it.
-	Spans *telemetry.SpanStore
 }
 
 func (c *Config) fill() {
@@ -326,11 +309,17 @@ type Service struct {
 	stopped       bool
 	remote        RemoteController
 
-	// lifecycle telemetry (nil without Config.Telemetry)
+	// Lifecycle telemetry on the server's registry: queue wait
+	// (submitted→started), run duration (started→finished), and
+	// per-attempt output staging time. The clarens.job.* gauges live
+	// there too.
 	queueWaitHist *telemetry.Histogram
 	runHist       *telemetry.Histogram
 	stageHist     *telemetry.Histogram
-	events        *slog.Logger
+	// events is the server's request log (nil when disabled); it gets one
+	// entry per job state transition, carrying the new state, the job's
+	// trace ID and, where one was measured, the transition's duration.
+	events *slog.Logger
 
 	started time.Time
 	wg      sync.WaitGroup
@@ -354,34 +343,33 @@ func New(srv *core.Server, cfg Config, exec Executor, notify Notifier) (*Service
 		ownerRunning: make(map[string]int),
 		ownerQueued:  make(map[string]int),
 		count:        make(map[string]int),
-		events:       cfg.Events,
+		events:       srv.RequestLog(),
 		started:      time.Now(),
 		stopCh:       make(chan struct{}),
 	}
-	if cfg.Telemetry != nil {
-		s.queueWaitHist = cfg.Telemetry.Histogram("clarens.job.queue_wait_seconds",
-			"Time jobs spend queued before a worker claims them.")
-		s.runHist = cfg.Telemetry.Histogram("clarens.job.run_seconds",
-			"Wall-clock duration of terminal jobs, claim to finish.")
-		s.stageHist = cfg.Telemetry.Histogram("clarens.job.stage_seconds",
-			"Per-attempt output finalization and artifact staging time.")
-		for _, g := range []struct {
-			name, help string
-			value      func(Snapshot) float64
-		}{
-			{"queued", "jobs waiting in the local queue", func(sn Snapshot) float64 { return float64(sn.Queued) }},
-			{"running", "jobs currently executing", func(sn Snapshot) float64 { return float64(sn.Running) }},
-			{"remote", "jobs forwarded to peers, awaiting pull-back", func(sn Snapshot) float64 { return float64(sn.Remote) }},
-			{"done", "jobs completed successfully", func(sn Snapshot) float64 { return float64(sn.Done) }},
-			{"failed", "jobs that exhausted retries", func(sn Snapshot) float64 { return float64(sn.Failed) }},
-			{"cancelled", "jobs cancelled by their owner or an admin", func(sn Snapshot) float64 { return float64(sn.Cancelled) }},
-			{"workers", "size of the worker pool", func(sn Snapshot) float64 { return float64(sn.Workers) }},
-			{"throughput", "terminal jobs per second of uptime", Snapshot.Throughput},
-			{"artifact_bytes", "cumulative bytes staged into artifact trees", func(sn Snapshot) float64 { return float64(sn.ArtifactBytes) }},
-			{"artifact_gc", "artifact trees garbage-collected", func(sn Snapshot) float64 { return float64(sn.ArtifactGC) }},
-		} {
-			cfg.Telemetry.RegisterGauge("clarens.job."+g.name, g.help, func() float64 { return g.value(s.Stats()) })
-		}
+	reg := srv.Telemetry()
+	s.queueWaitHist = reg.Histogram("clarens.job.queue_wait_seconds",
+		"Time jobs spend queued before a worker claims them.")
+	s.runHist = reg.Histogram("clarens.job.run_seconds",
+		"Wall-clock duration of terminal jobs, claim to finish.")
+	s.stageHist = reg.Histogram("clarens.job.stage_seconds",
+		"Per-attempt output finalization and artifact staging time.")
+	for _, g := range []struct {
+		name, help string
+		value      func(Snapshot) float64
+	}{
+		{"queued", "jobs waiting in the local queue", func(sn Snapshot) float64 { return float64(sn.Queued) }},
+		{"running", "jobs currently executing", func(sn Snapshot) float64 { return float64(sn.Running) }},
+		{"remote", "jobs forwarded to peers, awaiting pull-back", func(sn Snapshot) float64 { return float64(sn.Remote) }},
+		{"done", "jobs completed successfully", func(sn Snapshot) float64 { return float64(sn.Done) }},
+		{"failed", "jobs that exhausted retries", func(sn Snapshot) float64 { return float64(sn.Failed) }},
+		{"cancelled", "jobs cancelled by their owner or an admin", func(sn Snapshot) float64 { return float64(sn.Cancelled) }},
+		{"workers", "size of the worker pool", func(sn Snapshot) float64 { return float64(sn.Workers) }},
+		{"throughput", "terminal jobs per second of uptime", Snapshot.Throughput},
+		{"artifact_bytes", "cumulative bytes staged into artifact trees", func(sn Snapshot) float64 { return float64(sn.ArtifactBytes) }},
+		{"artifact_gc", "artifact trees garbage-collected", func(sn Snapshot) float64 { return float64(sn.ArtifactGC) }},
+	} {
+		reg.RegisterGauge("clarens.job."+g.name, g.help, func() float64 { return g.value(s.Stats()) })
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.recover(); err != nil {
@@ -546,16 +534,24 @@ func (s *Service) recover() error {
 // Stop drains the worker pool: workers finish in-flight attempts and exit.
 // Queued jobs stay persisted for the next start.
 func (s *Service) Stop() {
+	if s.halt() {
+		s.wg.Wait()
+	}
+}
+
+// halt tells the workers to exit after their current attempt. It
+// reports whether this call did so, rather than an earlier Stop or
+// Drain.
+func (s *Service) halt() bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped {
-		s.mu.Unlock()
-		return
+		return false
 	}
 	s.stopped = true
 	close(s.stopCh)
 	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
+	return true
 }
 
 // Drain is Stop bounded by a context: workers are told to exit after
@@ -566,13 +562,7 @@ func (s *Service) Stop() {
 // re-queued by recovery on the next start); ctx.Err() is returned so
 // the caller knows the drain was cut short.
 func (s *Service) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stopCh)
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
+	s.halt()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -741,12 +731,12 @@ func (s *Service) move(j *Job, to string, dur time.Duration) error {
 	}
 
 	switch {
-	case to == StateRunning && s.queueWaitHist != nil:
+	case to == StateRunning:
 		s.queueWaitHist.Observe(dur)
 	case Terminal(to):
 		// Only a local attempt's end measures a run; a remote completion
 		// or a restart recovery passes zero.
-		if dur > 0 && s.runHist != nil {
+		if dur > 0 {
 			s.runHist.Observe(dur)
 		}
 		s.notifyDone(j)
@@ -812,7 +802,7 @@ func (s *Service) announce(j *Job, dur time.Duration) {
 		Tags:  tags,
 		Data:  data,
 	})
-	if st := s.cfg.Spans; st != nil && j.Trace != "" && Terminal(j.State) && dur > 0 {
+	if st := s.srv.Spans(); st != nil && j.Trace != "" && Terminal(j.State) && dur > 0 {
 		// A synthetic span on the job's trace: sampled on its own merits
 		// (slow or failed), or appended when the submitting RPC already
 		// promoted the trace.
@@ -1168,9 +1158,7 @@ func (s *Service) runAttempt(j *Job) (ExecResult, error) {
 	status, execErr := s.exec(owner, j.Command, sp.stdout, sp.stderr)
 	stageStart := time.Now()
 	res := s.finalize(j, owner, sp, status, execErr)
-	if s.stageHist != nil {
-		s.stageHist.Observe(time.Since(stageStart))
-	}
+	s.stageHist.Observe(time.Since(stageStart))
 	return res, execErr
 }
 

@@ -500,11 +500,11 @@ func TestTerminalNotifications(t *testing.T) {
 	}
 }
 
-// The scheduler's gauges live on the telemetry registry it is handed —
-// the one feed /metrics and PublishTelemetry read.
+// The scheduler's gauges live on its server's telemetry registry — the
+// one feed /metrics and PublishTelemetry read.
 func TestRegistryGauges(t *testing.T) {
 	srv := testServer(t, "")
-	s := newService(t, srv, Config{Workers: 1, Telemetry: srv.Telemetry()}, echoExec)
+	s := newService(t, srv, Config{Workers: 1}, echoExec)
 	j, _ := s.Submit(alice, "echo gauge", 0, 0)
 	s.Wait(j.ID, 5*time.Second)
 	waitFor(t, func() bool { return srv.Telemetry().GaugeValues()["clarens.job.done"] == 1 })

@@ -55,11 +55,22 @@ type machine struct {
 	events *pubsub.Subscription
 }
 
-func startMachine(t *testing.T, srv *core.Server, cfg Config) *machine {
+// startMachine starts the Service on a fresh server whose store holds
+// seed and whose request log is the machine's lifecycle log.
+func startMachine(t *testing.T, cfg Config, seed ...*Job) *machine {
 	t.Helper()
 	m := &machine{t: t, gate: make(chan struct{}), stop: make(chan struct{}), log: &lifecycleLog{}}
+	srv, err := core.NewServer(core.Config{RequestLog: slog.New(m.log)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	for _, j := range seed {
+		if err := srv.Store().PutJSON(bucket, j.ID, j); err != nil {
+			t.Fatal(err)
+		}
+	}
 	m.events = srv.Events().Subscribe("transitions", func(ev *pubsub.Event) bool { return ev.Type == "job.state" }, 4096)
-	cfg.Events = slog.New(m.log)
 	s, err := New(srv, cfg, func(owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
 		select {
 		case <-m.gate:
@@ -216,21 +227,17 @@ func TestEveryTransitionAnnouncedOnce(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := testServer(t, "")
+			var seed []*Job
 			id := ""
 			if tc.stored != nil {
 				// A higher-priority queued job takes the worker first, so
 				// a recovered job re-queued stays queued.
 				blocker := &Job{ID: mustID(t, time.Now().Add(-time.Second)), Owner: alice.String(), Command: "hold",
 					Priority: 100, State: StateQueued, Submitted: time.Now()}
-				for _, j := range []*Job{blocker, tc.stored} {
-					if err := srv.Store().PutJSON(bucket, j.ID, j); err != nil {
-						t.Fatal(err)
-					}
-				}
+				seed = []*Job{blocker, tc.stored}
 				id = tc.stored.ID
 			}
-			m := startMachine(t, srv, Config{Workers: 1})
+			m := startMachine(t, Config{Workers: 1}, seed...)
 			logMark := 0
 			if tc.stored == nil {
 				id = tc.setup(m)
@@ -290,7 +297,7 @@ func TestCountsMatchJobTable(t *testing.T) {
 		}
 	}
 
-	m1 := startMachine(t, testServer(t, ""), cfg)
+	m1 := startMachine(t, cfg)
 	run(m1, 150)
 	// Make sure an attempt is in flight, so recovery has one to resolve.
 	if _, err := m1.s.Submit(pki.MustParseDN("/O=grid/OU=People/CN=Dave"), "ok", 100, 1); err != nil {
@@ -305,15 +312,11 @@ func TestCountsMatchJobTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := testServer(t, "")
 	before := map[string]int{}
 	for _, j := range table {
 		before[j.State]++
-		if err := srv2.Store().PutJSON(bucket, j.ID, j); err != nil {
-			t.Fatal(err)
-		}
 	}
-	m2 := startMachine(t, srv2, cfg)
+	m2 := startMachine(t, cfg, table...)
 	run(m2, 150)
 
 	// Workers settle once every attempt is blocked or no queued job is

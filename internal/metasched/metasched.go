@@ -11,9 +11,13 @@
 //     their TTL and vanish when not republished),
 //  2. polls every peer's job.stats for queue depth, running count, and
 //     worker-pool size, scoring peers by free capacity,
-//  3. watches jobs previously forwarded: terminal results are pulled back
-//     into the local shadow record, and jobs whose peer stopped answering
-//     for DeadPolls consecutive cycles fall back into the local queue,
+//  3. watches jobs previously forwarded, grouped by peer and delegated
+//     session: a group with a live push subscription to the peer's job
+//     events is status-polled for the jobs whose terminal event arrived
+//     and a slow safety sweep, a group without one is polled in full;
+//     terminal results are pulled back into the local shadow record, and
+//     jobs whose peer stopped answering for DeadPolls consecutive cycles
+//     fall back into the local queue,
 //  4. when the local queue exceeds the pressure threshold, claims the
 //     jobs farthest from a local worker and forwards them to the
 //     least-loaded peers, batched per owner over system.multicall.
@@ -25,6 +29,11 @@
 // peer sees the real owner, applies its own quotas and user mapping, and
 // the owner's job.status/job.output on the submitting server proxy to the
 // executing peer transparently.
+//
+// Every round trip to a peer is one exchange through the peer's circuit
+// breaker and cached connection. A fault answer means the peer is alive;
+// a transport failure or a malformed reply counts once against the
+// breaker and drops the connection, so the next exchange re-dials.
 //
 // Fallback is at-least-once, not exactly-once: a peer that was merely
 // partitioned (rather than dead) may still be running a job the
@@ -99,8 +108,9 @@ type EventStream interface {
 // EventDialer opens a push subscription to the /ws endpoint of the
 // server at rpcURL, authenticated by the delegated session token and
 // filtered by query. An error means the peer has no push plane (no /ws
-// endpoint, or the dial failed); the scheduler then keeps batch-polling
-// that peer as before.
+// endpoint, or the dial failed): the group the stream was for is polled
+// in full every cycle, and the dial is retried after a backoff of 30 poll
+// intervals (at least 5s).
 type EventDialer func(rpcURL, token, query string) (EventStream, error)
 
 // PeerSource lists live peer job services (implemented by
@@ -150,11 +160,12 @@ type Config struct {
 	// sampled traces onto the batched peer calls.
 	Spans *telemetry.SpanStore
 	// EventDial, when set, lets the watch loop subscribe to peer job
-	// events over /ws instead of batch-polling job.status every cycle:
-	// push-covered jobs are polled in full when a subscription starts or
-	// reports a gap, singly when their terminal event arrives, and
-	// otherwise only by a safety sweep every 15 poll intervals (at least
-	// 2s). Nil keeps the pure polling behavior.
+	// events over /ws, one stream per group of jobs sharing a peer and a
+	// delegated session. A group whose stream is live is polled in full
+	// when the stream starts or reports a gap, and otherwise only for the
+	// jobs whose terminal event arrived plus those not polled for 15 poll
+	// intervals (at least 2s). A group with no stream is polled in full
+	// every cycle. Nil means no group ever has a stream.
 	EventDial EventDialer
 }
 
@@ -214,6 +225,35 @@ type Stats struct {
 	BreakerOpen   int    // peers whose circuit breaker is currently open
 }
 
+// counters is the one table behind both views of Stats: the
+// clarens.federation.<key> gauges and the "federation" section of
+// system.stats.
+var counters = []struct {
+	key, help string
+	value     func(Stats) int
+}{
+	{"peers", "live job-service peers in the federation table", func(st Stats) int { return st.Peers }},
+	{"forwarded", "jobs accepted by peers", func(st Stats) int { return int(st.Forwarded) }},
+	{"pulled_back", "remote results finalized locally", func(st Stats) int { return int(st.PulledBack) }},
+	{"fallbacks", "jobs returned to the local queue after a peer failure", func(st Stats) int { return int(st.Fallbacks) }},
+	{"artifact_bytes", "artifact bytes fetched from peers and re-staged", func(st Stats) int { return int(st.ArtifactBytes) }},
+	{"status_rpcs", "job.status calls issued by the remote watch loop", func(st Stats) int { return int(st.StatusRPCs) }},
+	{"push_events", "peer job events received over push subscriptions", func(st Stats) int { return int(st.PushEvents) }},
+	{"push_watches", "live peer push subscriptions", func(st Stats) int { return st.PushWatches }},
+	{"breaker_open", "peers whose circuit breaker is currently open", func(st Stats) int { return st.BreakerOpen }},
+}
+
+// StatsSection returns the counters as the "federation" section of
+// system.stats.
+func (s *Scheduler) StatsSection() map[string]any {
+	st := s.Stats()
+	out := make(map[string]any, len(counters))
+	for _, c := range counters {
+		out[c.key] = c.value(st)
+	}
+	return out
+}
+
 // Scheduler is the per-server federated meta-scheduler.
 type Scheduler struct {
 	jobs     *jobsvc.Service
@@ -225,17 +265,15 @@ type Scheduler struct {
 	breakers *resilience.Group // per-peer circuit breakers, keyed by endpoint URL
 	cycleMu  sync.Mutex        // serializes cycles (ticker loop vs. Kick)
 
-	mu        sync.Mutex
-	table     map[string]*peer    // peer name -> scored row
-	conns     map[string]Conn     // endpoint URL -> connection
-	sessions  map[string]string   // peer name + "|" + owner DN -> delegated session
-	failPolls map[string]int      // local job id -> consecutive failed watch polls
-	orphans   map[string][]orphan // endpoint URL -> reclaimed remote copies to cancel
-	watches   map[watchKey]*peerWatch
-	noWS      map[string]time.Time // endpoint URL -> next push-dial retry
-	lastPoll  map[string]time.Time // local job id -> last watch status poll
-	gauged    map[string]bool      // peer names with a registered breaker gauge
-	stats     Stats
+	mu       sync.Mutex
+	table    map[string]*peer        // peer name -> scored row
+	conns    map[string]Conn         // endpoint URL -> connection
+	sessions map[sessionKey]string   // delegated session per peer and owner
+	orphans  map[string][]orphan     // endpoint URL -> reclaimed remote copies to cancel
+	watches  map[watchKey]*peerWatch // one record per group of forwarded jobs
+	watched  map[string]jobWatch     // local job id -> watch state of a forwarded job
+	gauged   map[string]bool         // peer names with a registered breaker gauge
+	stats    Stats
 
 	wakeCh  chan struct{} // push events nudge the loop to run a cycle now
 	stopCh  chan struct{}
@@ -243,18 +281,29 @@ type Scheduler struct {
 	wg      sync.WaitGroup
 }
 
-// watchKey identifies one push subscription: the peer endpoint plus the
-// delegated session it authenticates as (one watch per owner per peer —
-// the peer's owner scoping admits exactly that owner's job events).
+// sessionKey names the delegated session acting as owner on a peer.
+type sessionKey struct{ peer, owner string }
+
+// watchKey identifies one group of forwarded jobs: the peer endpoint
+// plus the delegated session they were submitted under. A group has one
+// push subscription at most, since the peer's owner scoping admits
+// exactly that owner's job events.
 type watchKey struct{ url, token string }
 
-// peerWatch is one live push subscription to a peer's event bus.
+// peerWatch is the watch record of one group. It exists whether or not
+// a push subscription is live.
 type peerWatch struct {
-	stream EventStream
-
 	mu     sync.Mutex
+	stream EventStream     // live push subscription; nil when none
 	ready  map[string]bool // remote job ids with an unconsumed terminal event
 	resync bool            // events may have been missed: poll the whole group
+	dialAt time.Time       // no push dial before this, after one failed
+}
+
+// jobWatch is the watch state of one forwarded job.
+type jobWatch struct {
+	fails  int       // consecutive failed status polls
+	polled time.Time // last status poll the peer answered
 }
 
 // New builds a scheduler and installs it as the job service's remote
@@ -269,32 +318,31 @@ func New(jobs *jobsvc.Service, peers PeerSource, deleg Delegator, dial Dialer, l
 		return nil, fmt.Errorf("metasched: SelfURL is required (peers verify delegations against it)")
 	}
 	if logger == nil {
-		logger = log.New(discard{}, "", 0)
+		logger = log.New(io.Discard, "", 0)
 	}
 	s := &Scheduler{
-		jobs:      jobs,
-		peers:     peers,
-		deleg:     deleg,
-		dial:      dial,
-		logger:    logger,
-		cfg:       cfg,
-		breakers:  resilience.NewGroup(cfg.Breaker),
-		table:     make(map[string]*peer),
-		conns:     make(map[string]Conn),
-		sessions:  make(map[string]string),
-		failPolls: make(map[string]int),
-		orphans:   make(map[string][]orphan),
-		watches:   make(map[watchKey]*peerWatch),
-		noWS:      make(map[string]time.Time),
-		lastPoll:  make(map[string]time.Time),
-		gauged:    make(map[string]bool),
-		wakeCh:    make(chan struct{}, 1),
-		stopCh:    make(chan struct{}),
+		jobs:     jobs,
+		peers:    peers,
+		deleg:    deleg,
+		dial:     dial,
+		logger:   logger,
+		cfg:      cfg,
+		breakers: resilience.NewGroup(cfg.Breaker),
+		table:    make(map[string]*peer),
+		conns:    make(map[string]Conn),
+		sessions: make(map[sessionKey]string),
+		orphans:  make(map[string][]orphan),
+		watches:  make(map[watchKey]*peerWatch),
+		watched:  make(map[string]jobWatch),
+		gauged:   make(map[string]bool),
+		wakeCh:   make(chan struct{}, 1),
+		stopCh:   make(chan struct{}),
 	}
 	if cfg.Telemetry != nil {
-		cfg.Telemetry.RegisterGauge("clarens.federation.breaker_open",
-			"Peers whose circuit breaker is currently open.",
-			func() float64 { return float64(s.breakers.OpenCount()) })
+		for _, c := range counters {
+			cfg.Telemetry.RegisterGauge("clarens.federation."+c.key, c.help,
+				func() float64 { return float64(c.value(s.Stats())) })
+		}
 	}
 	jobs.SetRemoteController(s)
 	return s, nil
@@ -313,27 +361,15 @@ func (s *Scheduler) registerBreakerGauge(name string) {
 		func() float64 {
 			s.mu.Lock()
 			p, ok := s.table[name]
-			var url string
-			if ok {
-				url = p.url
-			}
-			s.mu.Unlock()
 			if !ok {
+				s.mu.Unlock()
 				return 0
 			}
-			switch s.breakers.State(url) {
-			case resilience.Open:
-				return 1
-			case resilience.HalfOpen:
-				return 0.5
-			}
-			return 0
+			url := p.url
+			s.mu.Unlock()
+			return map[resilience.State]float64{resilience.Open: 1, resilience.HalfOpen: 0.5}[s.breakers.State(url)]
 		})
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // Start launches the control loop.
 func (s *Scheduler) Start() {
@@ -358,7 +394,7 @@ func (s *Scheduler) Stop() {
 	// Close push streams first so their runWatch goroutines unblock and
 	// the wg.Wait below can finish.
 	for _, w := range watches {
-		w.stream.Close()
+		w.end(nil)
 	}
 	s.wg.Wait()
 	s.mu.Lock()
@@ -380,7 +416,14 @@ func (s *Scheduler) Stats() Stats {
 			st.Peers++
 		}
 	}
-	st.PushWatches = len(s.watches)
+	st.PushWatches = 0
+	for _, w := range s.watches {
+		w.mu.Lock()
+		if w.stream != nil {
+			st.PushWatches++
+		}
+		w.mu.Unlock()
+	}
 	st.BreakerOpen = s.breakers.OpenCount()
 	return st
 }
@@ -473,6 +516,25 @@ func (s *Scheduler) exchange(url string, fn func(Conn) error) error {
 	return err
 }
 
+// call runs one method on the peer at url as its own exchange and
+// returns the answer as a T. An answer of any other type is a malformed
+// reply, which counts against the peer like a transport failure.
+func call[T any](s *Scheduler, url, token, trace, method string, params ...any) (T, error) {
+	var out T
+	err := s.exchange(url, func(c Conn) error {
+		v, err := c.Call(token, trace, method, params...)
+		if err != nil {
+			return err
+		}
+		var ok bool
+		if out, ok = v.(T); !ok {
+			return fmt.Errorf("%s returned %T", method, v)
+		}
+		return nil
+	})
+	return out, err
+}
+
 // dropConn discards a connection after transport-level failures so the
 // next use re-dials.
 func (s *Scheduler) dropConn(url string) {
@@ -516,11 +578,7 @@ func (s *Scheduler) refreshPeers() {
 		if !seen[name] && now.After(p.expires) {
 			delete(s.table, name)
 			s.breakers.Forget(p.url)
-			for key := range s.sessions {
-				if len(key) > len(name) && key[:len(name)+1] == name+"|" {
-					delete(s.sessions, key)
-				}
-			}
+			maps.DeleteFunc(s.sessions, func(k sessionKey, _ string) bool { return k.peer == name })
 		}
 	}
 }
@@ -537,14 +595,9 @@ func (s *Scheduler) pollPeers() {
 	}
 	s.mu.Unlock()
 	for _, p := range peers {
-		var v any
-		err := s.exchange(p.url, func(c Conn) (err error) {
-			v, err = c.Call("", "", "job.stats")
-			return err
-		})
-		st, ok := v.(map[string]any)
+		st, err := call[map[string]any](s, p.url, "", "", "job.stats")
 		s.mu.Lock()
-		p.alive = err == nil && ok
+		p.alive = err == nil
 		if p.alive {
 			p.queued, _ = rpc.CoerceInt(st["queued"])
 			p.running, _ = rpc.CoerceInt(st["running"])
@@ -556,21 +609,15 @@ func (s *Scheduler) pollPeers() {
 
 // watchRemote tracks forwarded jobs on their executing peers, pulls
 // back terminal results, and falls back to local execution when a peer
-// stops answering. With a push subscription (Config.EventDial) to a
-// peer, its jobs are status-polled only when an event says something
-// happened (plus a coarse safety-net sweep); without one — or when the
-// peer lacks /ws — every job is batch-polled each cycle as before.
+// stops answering. Jobs are watched in groups sharing a peer and a
+// delegated session; pollDue says which of a group's jobs this cycle's
+// status sweep covers.
 func (s *Scheduler) watchRemote() {
-	remote := s.jobs.RemoteJobs()
-	if len(remote) == 0 {
-		s.pruneWatches(nil)
-		return
-	}
 	// Group by (endpoint, delegated session): each group is one push
-	// subscription, and one batched status sweep under the owner's
-	// identity for whatever jobs are due.
+	// subscription at most, and one batched status sweep under the
+	// owner's identity for whatever jobs are due.
 	groups := make(map[watchKey][]*jobsvc.Job)
-	for _, j := range remote {
+	for _, j := range s.jobs.RemoteJobs() {
 		if j.RemoteID == "" || j.PeerURL == "" {
 			// A remote record with no peer binding can only predate this
 			// process: cycles are serialized (cycleMu) and forward()
@@ -587,10 +634,10 @@ func (s *Scheduler) watchRemote() {
 	}
 	s.pruneWatches(groups)
 	for k, jobs := range groups {
-		// Establish the push subscription BEFORE polling: any transition
-		// after this point raises an event, and a new watch's first sweep
+		// Dial the push subscription BEFORE polling: any transition after
+		// this point raises an event, and a new stream's first sweep
 		// covers everything that happened before it. No gap.
-		w := s.ensureWatch(k)
+		w := s.watch(k)
 		due := s.pollDue(w, jobs)
 		if len(due) == 0 {
 			continue
@@ -599,14 +646,12 @@ func (s *Scheduler) watchRemote() {
 		for i, j := range due {
 			calls[i] = Call{Method: "job.status", Params: []any{j.RemoteID}, Trace: j.Trace}
 		}
-		var c Conn
 		var results []Result
-		err := s.exchange(k.url, func(conn Conn) (err error) {
-			c = conn
+		err := s.exchange(k.url, func(c Conn) (err error) {
 			s.mu.Lock()
 			s.stats.StatusRPCs += uint64(len(calls))
 			s.mu.Unlock()
-			results, err = conn.Batch(k.token, calls)
+			results, err = c.Batch(k.token, calls)
 			if err == nil && len(results) != len(calls) {
 				err = fmt.Errorf("job.status sweep: %d results for %d calls", len(results), len(calls))
 			}
@@ -616,111 +661,91 @@ func (s *Scheduler) watchRemote() {
 			// Whether refused by an open breaker or failed on the wire,
 			// each job's failed-poll count advances, so work on a dead peer
 			// falls back through the usual DeadPolls tolerance.
-			s.failGroup(due, err)
+			for _, j := range due {
+				s.failJob(j, err)
+			}
 			continue
 		}
 		now := time.Now()
 		for i, r := range results {
 			j := due[i]
+			w.mu.Lock()
+			delete(w.ready, j.RemoteID)
+			w.mu.Unlock()
+			st, _ := r.Value.(map[string]any)
+			state, _ := st["state"].(string)
 			s.mu.Lock()
-			s.lastPoll[j.ID] = now
-			s.mu.Unlock()
-			if w != nil {
-				w.mu.Lock()
-				delete(w.ready, j.RemoteID)
-				w.mu.Unlock()
+			jw := s.watched[j.ID]
+			jw.polled = now
+			if r.Err == nil && !jobsvc.Terminal(state) {
+				jw.fails = 0 // the peer vouches for the job, still running
 			}
-			if r.Err != nil {
-				if isAuthFault(r.Err) {
-					// The delegated session expired while the job was
-					// still remote. Renew it and retry next cycle — the
-					// remote attempt may well be running, and requeuing
-					// now would execute the job twice.
-					s.renewDelegation(c, j)
-					s.failJob(j, r.Err)
-					continue
-				}
+			s.watched[j.ID] = jw
+			s.mu.Unlock()
+			switch {
+			case isAuthFault(r.Err):
+				// The delegated session expired while the job was still
+				// remote. Renew it and retry next cycle — the remote
+				// attempt may well be running, and requeuing now would
+				// execute the job twice.
+				s.renewDelegation(j)
+				s.failJob(j, r.Err)
+			case r.Err != nil:
 				// The peer answered but no longer vouches for the job
 				// (lost its table after a restart): immediate fallback.
 				s.fallback(j, "peer lost job: "+r.Err.Error())
-				continue
+			case jobsvc.Terminal(state):
+				s.pullBack(j, state)
 			}
-			st, _ := r.Value.(map[string]any)
-			state, _ := st["state"].(string)
-			if !jobsvc.Terminal(state) {
-				s.clearFail(j.ID)
-				continue
-			}
-			s.pullBack(c, k.token, j, state)
 		}
 	}
 }
 
-// ensureWatch returns the live push subscription for a group, dialing
-// one if the peer supports it. nil means no push coverage this cycle
-// (no EventDialer configured, the peer has no /ws, or the last dial
-// failed and its backoff has not elapsed) — the caller then polls every
-// job in the group.
-func (s *Scheduler) ensureWatch(k watchKey) *peerWatch {
-	if s.cfg.EventDial == nil {
-		return nil
-	}
-	if s.breakers.State(k.url) == resilience.Open {
-		// No point dialing a push subscription at a peer the breaker
-		// already knows is down; the recovery probe re-opens the door.
-		return nil
-	}
+// watch returns a group's watch record, creating it on first sight, and
+// dials the group's push subscription when it has none and may get one:
+// an EventDialer is configured, the peer's breaker is not open, and no
+// failed dial's backoff is pending.
+func (s *Scheduler) watch(k watchKey) *peerWatch {
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return nil
+	w, ok := s.watches[k]
+	if !ok {
+		w = &peerWatch{ready: make(map[string]bool)}
+		s.watches[k] = w
 	}
-	if w, ok := s.watches[k]; ok {
-		s.mu.Unlock()
+	s.mu.Unlock()
+	w.mu.Lock()
+	due := w.stream == nil && !time.Now().Before(w.dialAt)
+	w.mu.Unlock()
+	if !due || s.cfg.EventDial == nil || s.breakers.State(k.url) == resilience.Open {
+		// An open breaker already knows the peer is down; its recovery
+		// probe re-opens the door.
 		return w
 	}
-	if until, ok := s.noWS[k.url]; ok {
-		if time.Now().Before(until) {
-			s.mu.Unlock()
-			return nil
-		}
-		delete(s.noWS, k.url)
-	}
-	s.mu.Unlock()
-
 	st, err := s.cfg.EventDial(k.url, k.token, "type=job.state")
 	if err != nil {
-		// Peer without a push plane (or dial failure): back off before
-		// probing again, and keep batch-polling in the meantime.
-		backoff := 30 * s.cfg.PollInterval
-		if backoff < 5*time.Second {
-			backoff = 5 * time.Second
-		}
-		s.mu.Lock()
-		s.noWS[k.url] = time.Now().Add(backoff)
-		s.mu.Unlock()
-		s.logger.Printf("metasched: no push events from %s (%v); falling back to polling", k.url, err)
-		return nil
+		w.mu.Lock()
+		w.dialAt = time.Now().Add(max(30*s.cfg.PollInterval, 5*time.Second))
+		w.mu.Unlock()
+		s.logger.Printf("metasched: no push events from %s (%v); polling its jobs", k.url, err)
+		return w
 	}
-	// Whatever happened before the subscription, or between a previous
-	// one ending and this one, raised no event here: the first sweep
-	// covers the whole group.
-	w := &peerWatch{stream: st, ready: make(map[string]bool), resync: true}
+	// Stop or a prune may have retired the record while the dial ran.
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		st.Close()
-		return nil
+	live := !s.stopped && s.watches[k] == w
+	if live {
+		s.wg.Add(1)
+		w.mu.Lock()
+		// Whatever happened before the subscription raised no event
+		// here: the first sweep covers the whole group.
+		w.stream, w.resync = st, true
+		w.mu.Unlock()
 	}
-	if existing, ok := s.watches[k]; ok {
-		s.mu.Unlock()
-		st.Close()
-		return existing
-	}
-	s.watches[k] = w
-	s.wg.Add(1)
 	s.mu.Unlock()
-	go s.runWatch(k, w)
+	if !live {
+		st.Close()
+		return w
+	}
+	go s.runWatch(w, st)
 	s.logger.Printf("metasched: watching %s over push events", k.url)
 	return w
 }
@@ -728,65 +753,64 @@ func (s *Scheduler) ensureWatch(k watchKey) *peerWatch {
 // runWatch drains one push subscription, marking jobs whose terminal
 // transition arrived so the next cycle polls exactly those, and nudging
 // the control loop awake for each.
-func (s *Scheduler) runWatch(k watchKey, w *peerWatch) {
+func (s *Scheduler) runWatch(w *peerWatch, st EventStream) {
 	defer s.wg.Done()
-	for ev := range w.stream.Events() {
+	for ev := range st.Events() {
 		s.mu.Lock()
 		s.stats.PushEvents++
 		s.mu.Unlock()
-		if ev.Type != "job.state" {
+		rid, state := ev.Tags["job_id"], ev.Tags["state"]
+		w.mu.Lock()
+		switch {
+		case ev.Type != "job.state":
 			// Lag and reconnect markers, and anything else we cannot
 			// attribute to a specific job: poll the whole group next cycle.
-			w.mu.Lock()
 			w.resync = true
+		case rid != "" && jobsvc.Terminal(state):
+			w.ready[rid] = true
+		default:
+			// Progress is nice to know; only terminal states need a pull.
 			w.mu.Unlock()
-			s.wake()
 			continue
 		}
-		rid := ev.Tags["job_id"]
-		if rid == "" {
-			continue
-		}
-		state := ev.Tags["state"]
-		if !jobsvc.Terminal(state) {
-			continue // progress is nice to know; only terminal states need a pull
-		}
-		w.mu.Lock()
-		w.ready[rid] = true
 		w.mu.Unlock()
 		s.wake()
 	}
-	// Stream over (the subscription failed permanently, was pruned, or
-	// the scheduler is stopping). Retire the watch unless someone else
-	// already did, so the next cycle dials a fresh one whose first sweep
-	// covers the gap.
-	s.mu.Lock()
-	mine := s.watches[k] == w
-	if mine {
-		delete(s.watches, k)
-	}
-	s.mu.Unlock()
-	if mine {
-		w.stream.Close()
-	}
+	// The stream is over (it failed for good, was pruned, or the
+	// scheduler is stopping). Without it the group is polled in full, and
+	// the next cycle dials a fresh stream whose first sweep covers the
+	// gap.
+	w.end(st)
 	s.wake()
 }
 
-// pollDue selects which of a group's jobs this cycle's status sweep
-// should cover. Without push coverage (w == nil), or when the watch must
-// resync, that is all of them; otherwise the jobs whose terminal event
-// arrived and the jobs not polled within the safety interval (which
-// includes jobs never polled since forwarding).
-func (s *Scheduler) pollDue(w *peerWatch, jobs []*jobsvc.Job) []*jobsvc.Job {
-	if w == nil {
-		return jobs
-	}
+// end detaches the record's stream if it is still st — any stream when
+// st is nil — and closes it.
+func (w *peerWatch) end(st EventStream) {
 	w.mu.Lock()
-	resync := w.resync
+	if st == nil || w.stream == st {
+		st, w.stream = w.stream, nil
+	} else {
+		st = nil
+	}
+	w.mu.Unlock()
+	if st != nil {
+		st.Close()
+	}
+}
+
+// pollDue selects which of a group's jobs this cycle's status sweep
+// covers. A group with no stream, or one that must resync, polls every
+// job; otherwise it polls the jobs whose terminal event arrived and the
+// jobs not polled within the safety interval (which includes jobs never
+// polled since forwarding).
+func (s *Scheduler) pollDue(w *peerWatch, jobs []*jobsvc.Job) []*jobsvc.Job {
+	w.mu.Lock()
+	all := w.stream == nil || w.resync
 	w.resync = false
 	ready := maps.Clone(w.ready)
 	w.mu.Unlock()
-	if resync {
+	if all {
 		return jobs
 	}
 	safety := max(15*s.cfg.PollInterval, 2*time.Second)
@@ -794,7 +818,7 @@ func (s *Scheduler) pollDue(w *peerWatch, jobs []*jobsvc.Job) []*jobsvc.Job {
 	var due []*jobsvc.Job
 	s.mu.Lock()
 	for _, j := range jobs {
-		if ready[j.RemoteID] || now.Sub(s.lastPoll[j.ID]) >= safety {
+		if ready[j.RemoteID] || now.Sub(s.watched[j.ID].polled) >= safety {
 			due = append(due, j)
 		}
 	}
@@ -802,8 +826,9 @@ func (s *Scheduler) pollDue(w *peerWatch, jobs []*jobsvc.Job) []*jobsvc.Job {
 	return due
 }
 
-// pruneWatches closes push subscriptions for groups that no longer have
-// remote jobs, so watches do not outlive the work they cover.
+// pruneWatches drops the watch records of groups that no longer have
+// remote jobs, closing their push subscriptions, so watches do not
+// outlive the work they cover.
 func (s *Scheduler) pruneWatches(groups map[watchKey][]*jobsvc.Job) {
 	var drop []*peerWatch
 	s.mu.Lock()
@@ -815,7 +840,7 @@ func (s *Scheduler) pruneWatches(groups map[watchKey][]*jobsvc.Job) {
 	}
 	s.mu.Unlock()
 	for _, w := range drop {
-		w.stream.Close()
+		w.end(nil)
 	}
 }
 
@@ -828,16 +853,15 @@ func (s *Scheduler) pruneWatches(groups map[watchKey][]*jobsvc.Job) {
 // locally executed job. A failed transfer leaves the record remote and
 // retries next cycle; persistent failure degrades through the usual
 // DeadPolls fallback.
-func (s *Scheduler) pullBack(c Conn, token string, j *jobsvc.Job, state string) {
-	v, err := c.Call(token, j.Trace, "job.output", j.RemoteID)
-	out, _ := v.(map[string]any)
-	if err != nil || out == nil {
+func (s *Scheduler) pullBack(j *jobsvc.Job, state string) {
+	out, err := call[map[string]any](s, j.PeerURL, j.PeerSession, j.Trace, "job.output", j.RemoteID)
+	if err != nil {
 		s.failJob(j, err)
 		return
 	}
 	res := execResult(out)
 	if arts, ok := out["artifacts"].([]any); ok && len(arts) > 0 && s.jobs.StagingEnabled() {
-		staged, pulled, err := s.pullArtifacts(c, token, j, arts)
+		staged, pulled, err := s.pullArtifacts(j, arts)
 		if err != nil {
 			s.jobs.DiscardRemoteStage(j.ID)
 			s.failJob(j, fmt.Errorf("artifact pull-back from %s: %w", j.Peer, err))
@@ -858,8 +882,7 @@ func (s *Scheduler) pullBack(c Conn, token string, j *jobsvc.Job, state string) 
 	}
 	s.mu.Lock()
 	s.stats.PulledBack++
-	delete(s.failPolls, j.ID)
-	delete(s.lastPoll, j.ID)
+	delete(s.watched, j.ID)
 	s.mu.Unlock()
 }
 
@@ -882,7 +905,7 @@ const artifactChunk = 1 << 20
 // pullArtifacts fetches every artifact referenced by a peer's job.output
 // and re-stages it locally, verifying digests. Returns the local
 // references and total bytes transferred.
-func (s *Scheduler) pullArtifacts(c Conn, token string, j *jobsvc.Job, arts []any) ([]jobsvc.Artifact, int64, error) {
+func (s *Scheduler) pullArtifacts(j *jobsvc.Job, arts []any) ([]jobsvc.Artifact, int64, error) {
 	out := make([]jobsvc.Artifact, 0, len(arts))
 	var pulled int64
 	for _, e := range arts {
@@ -904,7 +927,7 @@ func (s *Scheduler) pullArtifacts(c Conn, token string, j *jobsvc.Job, arts []an
 			s.logger.Printf("metasched: skipping artifact %q of %s: %d bytes exceeds the local spool limit %d", name, j.ID, sz, s.jobs.SpoolLimit())
 			continue
 		}
-		r := &remoteFileReader{c: c, token: token, trace: j.Trace, path: path}
+		r := &remoteFileReader{s: s, j: j, path: path}
 		a, err := s.jobs.StageRemoteArtifact(j.ID, name, r)
 		if err != nil {
 			return nil, 0, fmt.Errorf("stage %q: %w", name, err)
@@ -921,13 +944,12 @@ func (s *Scheduler) pullArtifacts(c Conn, token string, j *jobsvc.Job, arts []an
 	return out, pulled, nil
 }
 
-// remoteFileReader adapts a peer's chunk-iterated file.read to
-// io.Reader, terminating on the response's eof flag (no zero-byte probe
-// round trip).
+// remoteFileReader adapts the chunk-iterated file.read of j's executing
+// peer to io.Reader, one exchange per chunk, terminating on the
+// response's eof flag (no zero-byte probe round trip).
 type remoteFileReader struct {
-	c      Conn
-	token  string
-	trace  string
+	s      *Scheduler
+	j      *jobsvc.Job
 	path   string
 	offset int
 	buf    []byte
@@ -943,15 +965,10 @@ func (r *remoteFileReader) Read(p []byte) (int, error) {
 		if r.eof {
 			return 0, io.EOF
 		}
-		v, err := r.c.Call(r.token, r.trace, "file.read", r.path, r.offset, artifactChunk)
+		m, err := call[map[string]any](r.s, r.j.PeerURL, r.j.PeerSession, r.j.Trace, "file.read", r.path, r.offset, artifactChunk)
 		if err != nil {
 			r.err = err
 			return 0, err
-		}
-		m, ok := v.(map[string]any)
-		if !ok {
-			r.err = fmt.Errorf("file.read returned %T", v)
-			return 0, r.err
 		}
 		data, _ := rpc.CoerceBytes(m["data"])
 		r.eof, _ = m["eof"].(bool)
@@ -971,18 +988,14 @@ func (r *remoteFileReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// failGroup records one failed watch poll for every job in a group and
-// falls back the ones past the tolerance.
-func (s *Scheduler) failGroup(jobs []*jobsvc.Job, err error) {
-	for _, j := range jobs {
-		s.failJob(j, err)
-	}
-}
-
+// failJob records one failed watch poll of j and falls it back once it
+// reaches the DeadPolls tolerance.
 func (s *Scheduler) failJob(j *jobsvc.Job, err error) {
 	s.mu.Lock()
-	s.failPolls[j.ID]++
-	n := s.failPolls[j.ID]
+	jw := s.watched[j.ID]
+	jw.fails++
+	s.watched[j.ID] = jw
+	n := jw.fails
 	s.mu.Unlock()
 	if n < s.cfg.DeadPolls {
 		return
@@ -1030,48 +1043,32 @@ func (s *Scheduler) reapOrphans() {
 	s.orphans = make(map[string][]orphan)
 	s.mu.Unlock()
 	for url, left := range pending {
-		err := s.exchange(url, func(c Conn) error {
-			for ; len(left) > 0; left = left[1:] {
-				o := left[0]
-				_, err := c.Call(o.token, o.trace, "job.cancel", o.remoteID)
-				if err != nil && !isFault(err) {
-					return err
+		for ; len(left) > 0; left = left[1:] {
+			o := left[0]
+			_, err := call[bool](s, url, o.token, o.trace, "job.cancel", o.remoteID)
+			if err != nil && !isFault(err) {
+				// Breaker open, dial failed or transport failure: the peer
+				// is still unreachable. Keep the copies not yet cancelled,
+				// each a cycle older.
+				s.mu.Lock()
+				for _, o := range left {
+					if o.cycles++; o.cycles < orphanMaxCycles {
+						s.orphans[url] = append(s.orphans[url], o)
+					}
 				}
-				if err != nil {
-					// The peer answered with a fault — unknown job, already
-					// terminal, expired session. Nothing left to cancel, but
-					// the copy may have run to completion there: say so.
-					s.logger.Printf("metasched: orphaned remote copy %s on %s not cancelled (%v); it may have completed remotely", o.remoteID, url, err)
-					continue
-				}
-				s.logger.Printf("metasched: cancelled orphaned remote copy %s on %s", o.remoteID, url)
+				s.mu.Unlock()
+				break
 			}
-			return nil
-		})
-		if err != nil {
-			// Breaker open, dial failed or transport failure: the peer is
-			// still unreachable. Keep the copies not yet cancelled.
-			s.keepOrphans(url, left)
+			if err != nil {
+				// The peer answered with a fault — unknown job, already
+				// terminal, expired session. Nothing left to cancel, but
+				// the copy may have run to completion there: say so.
+				s.logger.Printf("metasched: orphaned remote copy %s on %s not cancelled (%v); it may have completed remotely", o.remoteID, url, err)
+				continue
+			}
+			s.logger.Printf("metasched: cancelled orphaned remote copy %s on %s", o.remoteID, url)
 		}
 	}
-}
-
-// keepOrphans re-files orphans that could not be reaped this cycle,
-// aging each and dropping the ones past orphanMaxCycles.
-func (s *Scheduler) keepOrphans(url string, orphans []orphan) {
-	var keep []orphan
-	for _, o := range orphans {
-		o.cycles++
-		if o.cycles < orphanMaxCycles {
-			keep = append(keep, o)
-		}
-	}
-	if len(keep) == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.orphans[url] = append(s.orphans[url], keep...)
-	s.mu.Unlock()
 }
 
 // fallback returns one forwarded job to the local queue.
@@ -1082,14 +1079,7 @@ func (s *Scheduler) fallback(j *jobsvc.Job, reason string) {
 	}
 	s.mu.Lock()
 	s.stats.Fallbacks++
-	delete(s.failPolls, j.ID)
-	delete(s.lastPoll, j.ID)
-	s.mu.Unlock()
-}
-
-func (s *Scheduler) clearFail(id string) {
-	s.mu.Lock()
-	delete(s.failPolls, id)
+	delete(s.watched, j.ID)
 	s.mu.Unlock()
 }
 
@@ -1139,53 +1129,19 @@ func (s *Scheduler) forward() {
 
 // forwardTo submits claimed jobs to one peer, batched per owner under a
 // delegated session. Every job either ends MarkForwarded or back in the
-// local queue — none are stranded.
+// local queue — none are stranded. A failed handoff or batch force-opens
+// the peer's breaker, so the owners still to go fall back at once.
 func (s *Scheduler) forwardTo(p *peer, claimed []*jobsvc.Job) {
 	byOwner := make(map[string][]*jobsvc.Job)
 	for _, j := range claimed {
 		byOwner[j.Owner] = append(byOwner[j.Owner], j)
 	}
-	c, err := s.conn(p.url)
-	if err != nil {
-		s.penalize(p)
-		for _, j := range claimed {
-			s.fallback(j, fmt.Sprintf("peer %s unreachable at forward time: %v", p.name, err))
-		}
-		return
-	}
 	for owner, jobs := range byOwner {
-		token, err := s.delegate(c, p.name, owner)
+		token, results, err := s.submit(p, owner, jobs)
 		if err != nil {
-			s.penalize(p)
-			for _, j := range jobs {
-				s.fallback(j, fmt.Sprintf("delegation to peer %s failed: %v", p.name, err))
-			}
-			continue
-		}
-		calls := make([]Call, len(jobs))
-		for i, j := range jobs {
-			params := []any{j.Command, j.Priority, j.MaxRetries}
-			if len(j.Collect) > 0 {
-				collect := make([]any, len(j.Collect))
-				for k, pat := range j.Collect {
-					collect[k] = pat
-				}
-				params = append(params, collect)
-			}
-			calls[i] = Call{Method: "job.submit", Params: params, Trace: j.Trace}
-			if st := s.cfg.Spans; st != nil && j.Trace != "" {
-				// Record the forward edge before the batch leaves, so even a
-				// trace whose job dies on the peer can still be assembled;
-				// carry the force-sample bit so a sampled trace stays
-				// sampled downstream.
-				st.Link(j.Trace, p.url)
-				calls[i].Sample = st.Sampled(j.Trace)
-			}
-		}
-		results, err := c.Batch(token, calls)
-		if err != nil || len(results) != len(jobs) {
-			s.dropConn(p.url)
-			s.penalize(p)
+			// The peer sits out until the breaker's cooldown elapses and
+			// the job.stats recovery probe succeeds.
+			s.breakers.For(p.url).ForceOpen()
 			for _, j := range jobs {
 				s.fallback(j, fmt.Sprintf("forward to peer %s failed: %v", p.name, err))
 			}
@@ -1195,7 +1151,9 @@ func (s *Scheduler) forwardTo(p *peer, claimed []*jobsvc.Job) {
 			j := jobs[i]
 			if r.Err != nil {
 				if isAuthFault(r.Err) {
-					s.dropSession(p.name, owner)
+					s.mu.Lock()
+					delete(s.sessions, sessionKey{p.name, owner})
+					s.mu.Unlock()
 				}
 				s.fallback(j, fmt.Sprintf("peer %s refused job: %v", p.name, r.Err))
 				continue
@@ -1211,7 +1169,7 @@ func (s *Scheduler) forwardTo(p *peer, claimed []*jobsvc.Job) {
 				// record forever. Withdraw the remote copy best-effort
 				// and run the job locally instead.
 				s.logger.Printf("metasched: bind %s->%s@%s: %v", j.ID, rid, p.name, err)
-				c.Call(token, j.Trace, "job.cancel", rid)
+				call[bool](s, p.url, token, j.Trace, "job.cancel", rid)
 				s.fallback(j, fmt.Sprintf("could not record forwarding to %s: %v", p.name, err))
 				continue
 			}
@@ -1223,12 +1181,43 @@ func (s *Scheduler) forwardTo(p *peer, claimed []*jobsvc.Job) {
 	}
 }
 
-// penalize force-opens a peer's breaker after a failed forward or
-// delegation handoff: the peer sits out until the cooldown elapses and
-// the job.stats recovery probe succeeds — the old fixed penalty-cycle
-// sit-out, now sharing state with the transport-level breaker.
-func (s *Scheduler) penalize(p *peer) {
-	s.breakers.For(p.url).ForceOpen()
+// submit sends one owner's jobs to peer p as one job.submit batch under
+// the owner's delegated session, returning the session and one result
+// per job.
+func (s *Scheduler) submit(p *peer, owner string, jobs []*jobsvc.Job) (string, []Result, error) {
+	token, err := s.delegate(p.name, p.url, owner)
+	if err != nil {
+		return "", nil, fmt.Errorf("delegation: %w", err)
+	}
+	calls := make([]Call, len(jobs))
+	for i, j := range jobs {
+		params := []any{j.Command, j.Priority, j.MaxRetries}
+		if len(j.Collect) > 0 {
+			collect := make([]any, len(j.Collect))
+			for k, pat := range j.Collect {
+				collect[k] = pat
+			}
+			params = append(params, collect)
+		}
+		calls[i] = Call{Method: "job.submit", Params: params, Trace: j.Trace}
+		if st := s.cfg.Spans; st != nil && j.Trace != "" {
+			// Record the forward edge before the batch leaves, so even a
+			// trace whose job dies on the peer can still be assembled;
+			// carry the force-sample bit so a sampled trace stays
+			// sampled downstream.
+			st.Link(j.Trace, p.url)
+			calls[i].Sample = st.Sampled(j.Trace)
+		}
+	}
+	var results []Result
+	err = s.exchange(p.url, func(c Conn) (err error) {
+		results, err = c.Batch(token, calls)
+		if err == nil && len(results) != len(calls) {
+			err = fmt.Errorf("job.submit batch: %d results for %d calls", len(results), len(calls))
+		}
+		return err
+	})
+	return token, results, err
 }
 
 func isAuthFault(err error) bool {
@@ -1246,23 +1235,18 @@ func isFault(err error) bool {
 	return errors.As(err, &f)
 }
 
-// delegate returns a session on the named peer acting as owner,
+// delegate returns a session on the named peer at url acting as owner,
 // performing the delegation handoff on first use: mint a one-time secret
 // locally, redeem it on the peer, which calls back proxy.check_delegation
-// here to verify.
-func (s *Scheduler) delegate(c Conn, peerName, owner string) (string, error) {
-	key := peerName + "|" + owner
+// here to verify. The session is cached per (peer, owner).
+func (s *Scheduler) delegate(peer, url, owner string) (string, error) {
+	k := sessionKey{peer, owner}
 	s.mu.Lock()
-	token, ok := s.sessions[key]
+	token, ok := s.sessions[k]
 	s.mu.Unlock()
 	if ok {
 		return token, nil
 	}
-	return s.loginDelegated(c, key, owner)
-}
-
-// loginDelegated performs the handoff and caches the resulting session.
-func (s *Scheduler) loginDelegated(c Conn, key, owner string) (string, error) {
 	dn, err := pki.ParseDN(owner)
 	if err != nil {
 		return "", fmt.Errorf("bad owner DN: %w", err)
@@ -1271,16 +1255,15 @@ func (s *Scheduler) loginDelegated(c Conn, key, owner string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	v, err := c.Call("", "", "proxy.login_delegated", owner, secret, s.cfg.SelfURL())
+	token, err = call[string](s, url, "", "", "proxy.login_delegated", owner, secret, s.cfg.SelfURL())
 	if err != nil {
 		return "", err
 	}
-	token, _ := v.(string)
 	if token == "" {
 		return "", fmt.Errorf("peer returned empty session token")
 	}
 	s.mu.Lock()
-	s.sessions[key] = token
+	s.sessions[k] = token
 	s.mu.Unlock()
 	return token, nil
 }
@@ -1289,32 +1272,21 @@ func (s *Scheduler) loginDelegated(c Conn, key, owner string) (string, error) {
 // its executing peer and rebinds the shadow record, so the next watch
 // poll authenticates again. Jobs sharing the stale session reuse the
 // first renewal's token instead of logging in repeatedly.
-func (s *Scheduler) renewDelegation(c Conn, j *jobsvc.Job) {
-	key := j.Peer + "|" + j.Owner
+func (s *Scheduler) renewDelegation(j *jobsvc.Job) {
+	k := sessionKey{j.Peer, j.Owner}
 	s.mu.Lock()
-	token, ok := s.sessions[key]
-	if ok && token == j.PeerSession {
-		delete(s.sessions, key) // the cached session is the expired one
-		ok = false
+	if s.sessions[k] == j.PeerSession {
+		delete(s.sessions, k) // the cached session is the expired one
 	}
 	s.mu.Unlock()
-	if !ok {
-		var err error
-		token, err = s.loginDelegated(c, key, j.Owner)
-		if err != nil {
-			s.logger.Printf("metasched: renew delegation for %s on %s: %v", j.ID, j.Peer, err)
-			return
-		}
+	token, err := s.delegate(j.Peer, j.PeerURL, j.Owner)
+	if err != nil {
+		s.logger.Printf("metasched: renew delegation for %s on %s: %v", j.ID, j.Peer, err)
+		return
 	}
 	if err := s.jobs.MarkForwarded(j.ID, j.PeerURL, j.RemoteID, token); err != nil {
 		s.logger.Printf("metasched: rebind %s after renewal: %v", j.ID, err)
 	}
-}
-
-func (s *Scheduler) dropSession(peerName, owner string) {
-	s.mu.Lock()
-	delete(s.sessions, peerName+"|"+owner)
-	s.mu.Unlock()
 }
 
 // --- jobsvc.RemoteController ---
@@ -1378,11 +1350,7 @@ func (s *Scheduler) Refresh(j *jobsvc.Job) (*jobsvc.Job, error) {
 // CancelRemote relays a cancellation to the executing peer, logging a
 // relay that fails.
 func (s *Scheduler) CancelRemote(j *jobsvc.Job) {
-	err := s.exchange(j.PeerURL, func(c Conn) error {
-		_, err := c.Call(j.PeerSession, j.Trace, "job.cancel", j.RemoteID)
-		return err
-	})
-	if err != nil {
+	if _, err := call[bool](s, j.PeerURL, j.PeerSession, j.Trace, "job.cancel", j.RemoteID); err != nil {
 		s.logger.Printf("metasched: relay cancel of %s to %s: %v", j.ID, j.Peer, err)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"clarens/internal/pubsub"
 	"clarens/internal/resilience"
 	"clarens/internal/rpc"
+	"clarens/internal/telemetry"
 )
 
 var ownerDN = pki.MustParseDN("/O=grid/OU=People/CN=Fed User")
@@ -1139,4 +1140,58 @@ func TestPullBackSkipsOversizedArtifact(t *testing.T) {
 		t.Errorf("finalized = truncated %v artifacts %+v stdout %q", got.Truncated, got.Artifacts, got.Stdout)
 	}
 	h.gate <- struct{}{}
+}
+
+// TestFailedForwardFallsBackTheRestOfTheCycle: a failed forward opens
+// the peer's breaker, so the other owners' batches for that peer in the
+// same cycle fall back at once instead of trying the peer again.
+func TestFailedForwardFallsBackTheRestOfTheCycle(t *testing.T) {
+	h := newHarness(t, Config{Pressure: -1}, nil)
+	conn := h.addPeer("strict", "http://strict/rpc", 4)
+	conn.failWith("proxy.login_delegated", &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "issuer refused the delegation"})
+	h.occupy(t)
+	ids := h.submit(t, 2)
+	j, err := h.jobs.Submit(pki.MustParseDN("/O=grid/OU=People/CN=Other User"), "echo other", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, j.ID)
+	h.sched.Kick() // two owners' batches for one peer; the first handoff fails
+	if got := conn.callCount("proxy.login_delegated"); got != 1 {
+		t.Errorf("delegation handoffs = %d, want 1 (the second owner falls back without one)", got)
+	}
+	if st := h.sched.Stats(); st.Forwarded != 0 || st.Fallbacks != 3 {
+		t.Fatalf("stats = %+v, want 3 fallbacks", st)
+	}
+	for range 4 {
+		h.gate <- struct{}{}
+	}
+	for _, id := range ids {
+		waitState(t, h.jobs, id, jobsvc.StateDone)
+	}
+}
+
+// TestStatsSectionMatchesGauges: the system.stats section and the
+// clarens.federation.<key> gauges come from one table, so every section
+// key has a gauge with the same value.
+func TestStatsSectionMatchesGauges(t *testing.T) {
+	reg := telemetry.New()
+	h := newHarness(t, Config{Pressure: -1, Telemetry: reg}, nil)
+	h.addPeer("peer1", "http://peer1/rpc", 4)
+	h.occupy(t)
+	h.submit(t, 2)
+	h.sched.Kick() // forward
+	h.sched.Kick() // pull back
+	section := h.sched.StatsSection()
+	if section["forwarded"] != 2 || section["pulled_back"] != 2 || section["peers"] != 1 {
+		t.Fatalf("section = %v, want 2 forwarded, 2 pulled back, 1 peer", section)
+	}
+	gauges := reg.GaugeValues()
+	for key, v := range section {
+		g, ok := gauges["clarens.federation."+key]
+		if n, isInt := v.(int); !ok || !isInt || g != float64(n) {
+			t.Errorf("section %s = %v (%T), gauge = %v (registered: %v)", key, v, v, g, ok)
+		}
+	}
+	h.gate <- struct{}{} // release the blocker
 }
