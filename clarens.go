@@ -87,16 +87,6 @@ type (
 	Bus = pubsub.Bus
 )
 
-// Named dispatch-pipeline anchors for Server.UseBefore, re-exported.
-const (
-	AnchorRecover  = core.AnchorRecover
-	AnchorTrace    = core.AnchorTrace
-	AnchorShed     = core.AnchorShed
-	AnchorAuth     = core.AnchorAuth
-	AnchorDeadline = core.AnchorDeadline
-	AnchorACL      = core.AnchorACL
-)
-
 // ACL evaluation orders and special DN entries, re-exported.
 const (
 	OrderAllowDeny = acl.AllowDeny
@@ -694,28 +684,17 @@ func (s *Server) Core() *core.Server { return s.core }
 // Register adds a custom service to the server.
 func (s *Server) Register(svc Service) error { return s.core.Register(svc) }
 
-// Use appends interceptors to the dispatch pipeline. They run in
-// registration order inside the six built-in stages
-// (recover/trace/shed/auth/deadline/acl) — immediately around each
-// method handler, with the caller's identity already resolved and
-// authorized. They observe every call that clears authorization,
-// including each sub-call of a system.multicall batch and calls to
-// unknown methods (which fault at the terminal stage); calls the
-// built-in ACL stage denies are rejected before custom interceptors run.
-// See the README's "Writing interceptors" section for a worked example.
+// Use appends interceptors around the method invocation. They run in
+// registration order, outermost first, after the built-in steps of each
+// dispatch (panic recovery, tracing, load shedding, session lookup,
+// method deadline, ACL check), with the caller's identity already
+// resolved and authorized. They observe every call that clears
+// authorization, including each sub-call of a system.multicall batch and
+// calls to unknown methods (which fault inside them); calls that are
+// shed or denied never reach them. A stage may still refuse a call, for
+// instance by ctx.RemoteAddr. See the README's "Writing interceptors"
+// section for a worked example.
 func (s *Server) Use(ics ...Interceptor) { s.core.Use(ics...) }
-
-// UseBefore inserts interceptors immediately before a named built-in
-// pipeline stage (AnchorRecover, AnchorTrace, AnchorShed, AnchorAuth,
-// AnchorDeadline, AnchorACL). Installing before AnchorAuth runs the
-// stage with the caller's identity still unresolved — the position for
-// IP allowlists or request decryption that must act ahead of any session
-// lookup; installing before AnchorShed puts it just inside the trace
-// stage, where the call's trace ID is already assigned. Unknown anchors
-// are an error.
-func (s *Server) UseBefore(anchor string, ics ...Interceptor) error {
-	return s.core.UseBefore(anchor, ics...)
-}
 
 // Name returns the server's discovery name.
 func (s *Server) Name() string { return s.name }

@@ -35,14 +35,14 @@ const Version = "clarens-go/1.0 (ICPPW05 reproduction)"
 // Handler is the signature of a service method implementation.
 type Handler func(ctx *Context, params Params) (any, error)
 
-// Interceptor wraps a Handler with cross-cutting behavior (auth, ACLs,
-// stats, panic recovery, rate limiting, tracing). The server composes all
-// registered interceptors into a single dispatch pipeline: the first
-// interceptor registered is the outermost stage, and the innermost stage
-// invokes the resolved method handler. A stage observes every dispatched
-// call — including each sub-call of a system.multicall batch — that
-// reaches its position; stages registered after the built-in ACL stage
-// therefore see only calls that cleared authorization.
+// Interceptor wraps a Handler with cross-cutting behavior (rate limiting,
+// auditing, an address allowlist). Server.Use composes interceptors
+// around the method invocation, the first registered outermost. They run
+// after the built-in steps of every dispatch — recovery, tracing,
+// shedding, authentication, the method deadline and the ACL check — so
+// they see each call that cleared authorization, including every
+// sub-call of a system.multicall batch, with the caller's identity
+// resolved.
 type Interceptor func(next Handler) Handler
 
 // Method describes one invocable web-service method. A method sets
@@ -108,7 +108,7 @@ type Context struct {
 	RemoteAddr string
 
 	// method is the resolved registry entry (nil when the requested name
-	// is unknown; the terminal pipeline stage then faults).
+	// is unknown; the method invocation then faults).
 	method *Method
 	// methodName is the requested dotted method name, kept separately from
 	// method so interceptors can label unknown-method calls too.
@@ -137,8 +137,8 @@ type Context struct {
 	// set by the X-Clarens-Trace-Sample header, a sub-call's sample flag,
 	// or the method's TraceSample bit.
 	forceSample bool
-	// shed is set by the shed stage when it rejects the call unexecuted;
-	// the observe stage then keeps it out of the per-method counters.
+	// shed is set when load shedding rejects the call unexecuted; the
+	// observation then keeps it out of the per-method counters.
 	shed bool
 
 	srv *Server
@@ -168,8 +168,8 @@ func (c *Context) CallDepth() int { return c.depth }
 // X-Clarens-Trace value when the caller supplied a valid one, a minted
 // 128-bit hex ID otherwise. Multicall sub-calls share the batch's trace
 // unless the sub-call entry carried its own (a forwarding peer stitching
-// per-job traces through one batched POST). Set by the trace pipeline
-// stage; empty only before that stage runs.
+// per-job traces through one batched POST). Set at the start of
+// dispatch, before any Use stage runs.
 func (c *Context) TraceID() string { return c.trace }
 
 // SpanID identifies this dispatch within its trace; each multicall

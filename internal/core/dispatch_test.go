@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,6 +66,52 @@ func TestInterceptorOrdering(t *testing.T) {
 		if trace[i] != want[i] {
 			t.Fatalf("trace[%d] = %q, want %q (full: %v)", i, trace[i], want[i], trace)
 		}
+	}
+}
+
+// TestUseWhileDispatching: Use swaps the chain while calls run. Every
+// call completes, and once the Use calls are done the next call runs
+// through every stage they added.
+func TestUseWhileDispatching(t *testing.T) {
+	s := newTestServer(t)
+	var passes atomic.Int64
+	stage := func(next Handler) Handler {
+		return func(ctx *Context, p Params) (any, error) {
+			passes.Add(1)
+			return next(ctx, p)
+		}
+	}
+	const stages = 20
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if resp := s.Dispatch(nil, "test", &rpc.Request{Method: "system.ping"}); resp.Fault != nil {
+					t.Errorf("ping during Use: %v", resp.Fault)
+					return
+				}
+			}
+		}()
+	}
+	for range stages {
+		s.Use(stage)
+	}
+	close(stop)
+	wg.Wait()
+	before := passes.Load()
+	if resp := s.Dispatch(nil, "test", &rpc.Request{Method: "system.ping"}); resp.Fault != nil {
+		t.Fatal(resp.Fault)
+	}
+	if got := passes.Load() - before; got != stages {
+		t.Errorf("a call after %d Use calls passed %d stages", stages, got)
 	}
 }
 
@@ -343,95 +390,18 @@ func TestDispatchCancellationFromHTTPRequest(t *testing.T) {
 	}
 }
 
-func TestUseBeforeAnchorsPositionStages(t *testing.T) {
+func TestUseCanRejectByRemoteAddr(t *testing.T) {
+	// An IP allowlist as a Use stage: requests from outside the allowlist
+	// fault before the method runs.
 	s := newTestServer(t)
-	var mu sync.Mutex
-	var trace []string
-	mark := func(name string) Interceptor {
-		return func(next Handler) Handler {
-			return func(ctx *Context, p Params) (any, error) {
-				mu.Lock()
-				trace = append(trace, name)
-				mu.Unlock()
-				return next(ctx, p)
-			}
-		}
-	}
-	// A stage anchored before auth must observe the request with the
-	// caller's identity still unresolved, while a Use stage (inside the
-	// pipeline) sees it resolved.
-	var preAuthDN, insideDN string
-	if err := s.UseBefore(AnchorAuth, func(next Handler) Handler {
-		return func(ctx *Context, p Params) (any, error) {
-			mu.Lock()
-			trace = append(trace, "pre-auth")
-			preAuthDN = ctx.DN.String()
-			mu.Unlock()
-			return next(ctx, p)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UseBefore(AnchorRecover, mark("outermost")); err != nil {
-		t.Fatal(err)
-	}
 	s.Use(func(next Handler) Handler {
-		return func(ctx *Context, p Params) (any, error) {
-			mu.Lock()
-			trace = append(trace, "inner")
-			insideDN = ctx.DN.String()
-			mu.Unlock()
-			return next(ctx, p)
-		}
-	})
-
-	call(t, s, xmlrpc.New(), sessionFor(t, s, userDN), "system.whoami")
-	want := []string{"outermost", "pre-auth", "inner"}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(trace) != len(want) {
-		t.Fatalf("trace = %v", trace)
-	}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Fatalf("trace = %v, want %v", trace, want)
-		}
-	}
-	if preAuthDN != "" {
-		t.Errorf("pre-auth stage saw DN %q, want unresolved", preAuthDN)
-	}
-	if insideDN != userDN.String() {
-		t.Errorf("inner stage saw DN %q, want %q", insideDN, userDN)
-	}
-}
-
-func TestUseBeforeUnknownAnchor(t *testing.T) {
-	s := newTestServer(t)
-	err := s.UseBefore("nonsense", func(next Handler) Handler { return next })
-	if err == nil || !strings.Contains(err.Error(), "unknown interceptor anchor") {
-		t.Fatalf("err = %v, want unknown-anchor error", err)
-	}
-	// No interceptors: no error, no pipeline invalidation needed.
-	if err := s.UseBefore("nonsense"); err != nil {
-		t.Fatalf("empty UseBefore: %v", err)
-	}
-}
-
-func TestUseBeforeAuthCanRejectBeforeIdentity(t *testing.T) {
-	// The motivating deployment case: an IP allowlist ahead of identity
-	// resolution. Requests from outside the allowlist fault without any
-	// session lookup having happened.
-	s := newTestServer(t)
-	if err := s.UseBefore(AnchorAuth, func(next Handler) Handler {
 		return func(ctx *Context, p Params) (any, error) {
 			if !strings.HasPrefix(ctx.RemoteAddr, "10.") {
 				return nil, &rpc.Fault{Code: rpc.CodeAccessDenied, Message: "address not allowed"}
 			}
 			return next(ctx, p)
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	post := func(remote string) *rpc.Response {
 		codec := xmlrpc.New()

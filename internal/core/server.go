@@ -43,9 +43,6 @@ type Config struct {
 	AdminDNs []string
 	// SessionTTL is the session lifetime; zero means 12h.
 	SessionTTL time.Duration
-	// RPCPath is the POST endpoint; default "/rpc". The root path "/" also
-	// accepts RPC POSTs, mirroring PClarens' URL-based dispatch.
-	RPCPath string
 	// DisableAuth skips the session lookup and ACL walk (ablation A1,
 	// BenchmarkDispatchAuth). Never use outside benchmarks.
 	DisableAuth bool
@@ -54,7 +51,7 @@ type Config struct {
 	// methods may still set Method.Timeout).
 	MethodTimeout time.Duration
 	// MaxInFlight bounds concurrently executing top-level RPCs; beyond
-	// it the shed stage rejects new calls early with the retryable
+	// it dispatch rejects new calls early with the retryable
 	// CodeOverloaded fault instead of letting latency collapse under
 	// queueing. Zero means unlimited.
 	MaxInFlight int
@@ -71,11 +68,6 @@ type Config struct {
 	// executes sub-calls sequentially, preserving the strict in-order
 	// semantics clients may rely on for dependent batches.
 	BatchParallelism int
-	// OpenSystem grants anonymous+any callers the system service at
-	// startup, reproducing the paper's Figure 4 environment where
-	// unauthenticated clients invoke system.list_methods through two live
-	// access checks. Default true.
-	OpenSystem *bool
 	// TLS, when non-nil, enables HTTPS with certificate-based client
 	// authentication against ClientCAs.
 	TLS *TLSConfig
@@ -145,7 +137,7 @@ type Server struct {
 	requestLog *slog.Logger
 
 	// spans is the flight recorder (nil when Config.TraceStore is off);
-	// populated by the observe pipeline stage, queried by the trace service
+	// populated by every dispatch, queried by the trace service
 	// and /debug/traces.
 	spans *telemetry.SpanStore
 	// runtimeSampler feeds the clarens.runtime.* gauges; stopped once on
@@ -159,12 +151,11 @@ type Server struct {
 	health   []namedCheck
 	sections []namedSection
 
-	// dispatch pipeline: registered stages (built-ins carry anchor names,
-	// custom interceptors are unnamed) and the cached composition (folded
-	// outermost-first over the terminal handler).
-	dispatchMu   sync.RWMutex
-	interceptors []pipelineStage
-	pipeline     Handler
+	// The Use chain around the method invocation: uses in registration
+	// order, chain their composition, which each dispatch loads once.
+	useMu sync.Mutex
+	uses  []Interceptor
+	chain atomic.Pointer[Handler]
 
 	mux      *http.ServeMux
 	httpSrv  *http.Server
@@ -182,7 +173,7 @@ type Server struct {
 	wsConns  map[*ws.Conn]struct{}
 	wsClosed bool
 
-	// Load shedding and graceful drain: the shed pipeline stage counts
+	// Load shedding and graceful drain: dispatch counts
 	// top-level RPCs in flight and rejects work once draining is set or
 	// MaxInFlight is exceeded.
 	inflight atomic.Int64
@@ -208,9 +199,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	if cfg.RPCPath == "" {
-		cfg.RPCPath = "/rpc"
-	}
 	s := &Server{
 		cfg:        cfg,
 		store:      store,
@@ -227,7 +215,7 @@ func NewServer(cfg Config) (*Server, error) {
 		started:    time.Now(),
 	}
 	s.events.Instrument(s.telemetry)
-	s.registerBuiltinInterceptors()
+	s.Use() // the empty chain: the method invocation alone
 	s.telemetry.RegisterGauge("clarens.core.sessions", "Active sessions.",
 		func() float64 { return float64(s.sessions.Count()) })
 	s.telemetry.RegisterGauge("clarens.core.methods", "Registered RPC methods.",
@@ -294,10 +282,8 @@ func NewServer(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("/debug/traces/", s.handleDebugTrace)
 	}
 
-	s.mux.HandleFunc(cfg.RPCPath, s.handleRPC)
-	if cfg.RPCPath != "/" {
-		s.mux.HandleFunc("/", s.handleRoot)
-	}
+	s.mux.HandleFunc(rpcPath, s.handleRPC)
+	s.mux.HandleFunc("/", s.handleRoot)
 
 	if err := s.Register(systemService{s}); err != nil {
 		s.Close()
@@ -318,16 +304,16 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 
-	openSystem := cfg.OpenSystem == nil || *cfg.OpenSystem
-	if openSystem {
-		err := s.methACL.Set("system", &acl.ACL{
-			AllowDNs:    []string{acl.EntryAny, acl.EntryAnonymous},
-			AllowGroups: []string{vo.AdminsGroup},
-		})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
+	// Anonymous and authenticated callers may use the system service,
+	// as in the paper's Figure 4 environment, where unauthenticated
+	// clients invoke system.list_methods through two live access checks.
+	err = s.methACL.Set("system", &acl.ACL{
+		AllowDNs:    []string{acl.EntryAny, acl.EntryAnonymous},
+		AllowGroups: []string{vo.AdminsGroup},
+	})
+	if err != nil {
+		s.Close()
+		return nil, err
 	}
 	return s, nil
 }
@@ -502,7 +488,7 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "%s\nmethods: %d\nrpc endpoint: POST %s\n", Version, s.registry.count(), s.cfg.RPCPath)
+	fmt.Fprintf(w, "%s\nmethods: %d\nrpc endpoint: POST %s\n", Version, s.registry.count(), rpcPath)
 }
 
 // codecFor selects the protocol implementation for a request.
@@ -522,6 +508,10 @@ func (s *Server) codecFor(r *http.Request) rpc.Codec {
 		return s.codecs[0] // XML-RPC: text/xml and anything else
 	}
 }
+
+// rpcPath is the POST endpoint. The root path "/" also accepts RPC
+// POSTs, mirroring PClarens' URL-based dispatch.
+const rpcPath = "/rpc"
 
 // SessionHeader is the HTTP header carrying the session identifier;
 // the session cookie name is the lowercase equivalent.
@@ -771,8 +761,8 @@ func (s *Server) URL() string {
 	return scheme + "://" + s.Addr()
 }
 
-// RPCPath returns the configured POST endpoint path.
-func (s *Server) RPCPath() string { return s.cfg.RPCPath }
+// RPCPath returns the POST endpoint path.
+func (s *Server) RPCPath() string { return rpcPath }
 
 // Close shuts the server down and closes the database. Live WebSocket
 // sessions are told the server is going away (a "closing" frame) before

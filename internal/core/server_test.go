@@ -439,24 +439,6 @@ func TestDisableAuthSkipsChecks(t *testing.T) {
 	}
 }
 
-func TestClosedSystemConfig(t *testing.T) {
-	open := false
-	s, err := NewServer(Config{OpenSystem: &open, AdminDNs: []string{adminDN.String()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	resp := call(t, s, xmlrpc.New(), nil, "system.whoami")
-	if resp.Fault != nil {
-		t.Errorf("public method still passes with no opinion: %v", resp.Fault)
-	}
-	// Non-public admin methods stay gated.
-	resp = call(t, s, xmlrpc.New(), nil, "system.stats")
-	if resp.Fault == nil {
-		t.Error("stats must stay gated")
-	}
-}
-
 func TestRegisterValidation(t *testing.T) {
 	s := newTestServer(t)
 	bad := stubService{name: "", methods: []Method{{Name: "x.y", Handler: func(*Context, Params) (any, error) { return nil, nil }}}}

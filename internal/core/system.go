@@ -173,7 +173,7 @@ func (systemService) time(ctx *Context) (time.Time, error) {
 
 // multicall executes a batch of sub-calls from one POST (the boxcarring
 // pattern the paper's Python/ROOT clients used to amortize round trips).
-// Every sub-call runs through the full interceptor pipeline with the
+// Every sub-call runs through the full request path with the
 // batch caller's identity — per-sub-call ACL enforcement — and faults are
 // isolated: one failing entry never aborts the rest.
 //
@@ -243,11 +243,11 @@ func (sv systemService) runSubCall(ctx *Context, entry any) any {
 	if fault != nil {
 		return rpc.MulticallFault(fault)
 	}
-	resp := sv.s.InvokeTraceSample(ctx, call.Trace, call.Method, call.Params, call.Sample)
-	if resp.Fault != nil {
-		return rpc.MulticallFault(resp.Fault)
+	result, err := sv.s.invoke(ctx, call)
+	if err != nil {
+		return rpc.MulticallFault(faultOf(err))
 	}
-	return rpc.MulticallValue(resp.Result)
+	return rpc.MulticallValue(result)
 }
 
 // health is the public liveness/readiness probe: overall status ("ok"

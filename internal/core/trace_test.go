@@ -83,11 +83,11 @@ func TestSubCallInheritsTraceAsChildSpan(t *testing.T) {
 		Method{
 			Name: "t.parent", Help: "invokes t.trace as a sub-call", Signature: []string{"struct"}, Public: true,
 			Handler: func(ctx *Context, p Params) (any, error) {
-				sub := s.Invoke(ctx, "t.trace", nil)
-				if sub.Fault != nil {
-					return nil, sub.Fault
+				sub, err := s.invoke(ctx, rpc.SubCall{Method: "t.trace"})
+				if err != nil {
+					return nil, err
 				}
-				m := sub.Result.(map[string]any)
+				m := sub.(map[string]any)
 				m["outer_trace"] = ctx.TraceID()
 				m["outer_span"] = ctx.SpanID()
 				return m, nil
@@ -130,55 +130,6 @@ func TestMulticallSubCallTraceOverride(t *testing.T) {
 	}
 	if tr := results[1].Result.(map[string]any)["trace"]; tr != "batch-trace" {
 		t.Errorf("sub-call 1 trace = %v, want the batch's batch-trace", tr)
-	}
-}
-
-// TestUseBeforeTraceAndShedAnchors pins the observing stage's position: a
-// stage before AnchorTrace sees no trace yet; one before AnchorShed
-// (inside trace) sees it assigned. The anchors of the stages merged into
-// trace are gone.
-func TestUseBeforeTraceAndShedAnchors(t *testing.T) {
-	s := newTestServer(t)
-	var mu sync.Mutex
-	var beforeTrace, beforeShed string
-	if err := s.UseBefore(AnchorTrace, func(next Handler) Handler {
-		return func(ctx *Context, p Params) (any, error) {
-			mu.Lock()
-			beforeTrace = ctx.TraceID()
-			mu.Unlock()
-			return next(ctx, p)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UseBefore(AnchorShed, func(next Handler) Handler {
-		return func(ctx *Context, p Params) (any, error) {
-			mu.Lock()
-			beforeShed = ctx.TraceID()
-			mu.Unlock()
-			return next(ctx, p)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp := call(t, s, xmlrpc.New(), map[string]string{telemetry.TraceHeader: "anchor-check"}, "system.ping")
-	if resp.Fault != nil {
-		t.Fatal(resp.Fault)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if beforeTrace != "" {
-		t.Errorf("stage before trace anchor saw trace %q, want unset", beforeTrace)
-	}
-	if beforeShed != "anchor-check" {
-		t.Errorf("stage before shed anchor saw trace %q, want anchor-check", beforeShed)
-	}
-	for _, gone := range []string{"metrics", "stats"} {
-		err := s.UseBefore(gone, func(next Handler) Handler { return next })
-		const want = "(anchors: recover, trace, shed, auth, deadline, acl)"
-		if err == nil || !strings.Contains(err.Error(), "unknown interceptor anchor") || !strings.HasSuffix(err.Error(), want) {
-			t.Errorf("UseBefore(%q) = %v, want unknown-anchor error ending %s", gone, err, want)
-		}
 	}
 }
 
@@ -343,24 +294,24 @@ func TestSystemHealthAndStatsLatency(t *testing.T) {
 
 var errTest = &rpc.Fault{Code: rpc.CodeInternal, Message: "boom"}
 
-// BenchmarkTelemetryStages measures the added per-dispatch cost of the
-// observing stage composed over a no-op terminal handler, with request
-// logging off (the default) — the acceptance budget is 500 ns.
+// BenchmarkTelemetryStages measures the per-dispatch cost of trace
+// identity and observation: a no-op method dispatched with the access
+// checks off and request logging off (the default) — the acceptance
+// budget is 500 ns.
 func BenchmarkTelemetryStages(b *testing.B) {
-	s, err := NewServer(Config{})
+	s, err := NewServer(Config{DisableAuth: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	terminal := Handler(func(ctx *Context, p Params) (any, error) { return nil, nil })
-	h := s.observeInterceptor(terminal)
-	ctx := &Context{Context: context.Background(), methodName: "bench.noop", srv: s}
+	noop := &Method{Name: "bench.noop", Handler: func(ctx *Context, p Params) (any, error) { return nil, nil }}
+	ctx := &Context{Context: context.Background(), methodName: noop.Name, method: noop, srv: s}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Fresh trace state per iteration, as in a real dispatch.
 		ctx.trace, ctx.span, ctx.parentSpan = "", "", ""
-		if _, err := h(ctx, nil); err != nil {
+		if _, err := s.dispatch(ctx, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"clarens/internal/rpc"
 	"clarens/internal/rpc/xmlrpc"
 	"clarens/internal/telemetry"
 )
@@ -251,7 +252,7 @@ func TestSlowRequestLogsWarnWithSpans(t *testing.T) {
 }
 
 // Sub-calls buffer under their parent's trace and ride its decision;
-// InvokeTrace with a foreign trace acts as that trace's local root.
+// a sub-call with a foreign trace acts as that trace's local root.
 func TestTraceStoreSubCallsAndForeignRoot(t *testing.T) {
 	s := newTraceServer(t)
 	registerTest(t, s,
@@ -262,8 +263,8 @@ func TestTraceStoreSubCallsAndForeignRoot(t *testing.T) {
 		Method{
 			Name: "t.outer", Help: "outer", Signature: []string{"string"}, Public: true,
 			Handler: func(ctx *Context, p Params) (any, error) {
-				if sub := s.Invoke(ctx, "t.inner", nil); sub.Fault != nil {
-					return nil, sub.Fault
+				if _, err := s.invoke(ctx, rpc.SubCall{Method: "t.inner"}); err != nil {
+					return nil, err
 				}
 				return "out", nil
 			},
@@ -279,10 +280,10 @@ func TestTraceStoreSubCallsAndForeignRoot(t *testing.T) {
 		t.Fatalf("spans = %+v, want outer+inner", spans)
 	}
 
-	// A forwarded sub-call (foreign trace via InvokeTrace) is its own
+	// A forwarded sub-call (one carrying a foreign trace) is its own
 	// local root: a faulting one samples its trace immediately.
 	root := &Context{Context: t.Context(), srv: s, trace: "batch-t", span: telemetry.NewSpanID()}
-	if resp := s.InvokeTrace(root, "job-t-1", "no.such", nil); resp.Fault == nil {
+	if _, err := s.invoke(root, rpc.SubCall{Method: "no.such", Trace: "job-t-1"}); err == nil {
 		t.Fatal("expected fault")
 	}
 	if !s.Spans().Sampled("job-t-1") {

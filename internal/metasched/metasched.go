@@ -1129,21 +1129,31 @@ func (s *Scheduler) forward() {
 
 // forwardTo submits claimed jobs to one peer, batched per owner under a
 // delegated session. Every job either ends MarkForwarded or back in the
-// local queue — none are stranded. A failed handoff or batch force-opens
-// the peer's breaker, so the owners still to go fall back at once.
+// local queue — none are stranded. Once one owner's handoff or batch
+// fails, the owners still to go fall back at once. A failure that is not
+// a fault answer also force-opens the peer's breaker; a fault (say, a
+// refused delegation) does not, since the peer is alive and the jobs it
+// already runs are healthy.
 func (s *Scheduler) forwardTo(p *peer, claimed []*jobsvc.Job) {
 	byOwner := make(map[string][]*jobsvc.Job)
 	for _, j := range claimed {
 		byOwner[j.Owner] = append(byOwner[j.Owner], j)
 	}
+	var failed error
 	for owner, jobs := range byOwner {
-		token, results, err := s.submit(p, owner, jobs)
-		if err != nil {
-			// The peer sits out until the breaker's cooldown elapses and
-			// the job.stats recovery probe succeeds.
-			s.breakers.For(p.url).ForceOpen()
+		var token string
+		var results []Result
+		if failed == nil {
+			token, results, failed = s.submit(p, owner, jobs)
+			if failed != nil && !isFault(failed) {
+				// The peer sits out until the breaker's cooldown elapses
+				// and the job.stats recovery probe succeeds.
+				s.breakers.For(p.url).ForceOpen()
+			}
+		}
+		if failed != nil {
 			for _, j := range jobs {
-				s.fallback(j, fmt.Sprintf("forward to peer %s failed: %v", p.name, err))
+				s.fallback(j, fmt.Sprintf("forward to peer %s failed: %v", p.name, failed))
 			}
 			continue
 		}

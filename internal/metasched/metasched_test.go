@@ -454,14 +454,18 @@ func TestDelegationRejectedKeepsJobsLocal(t *testing.T) {
 	if got := conn.callCount("job.submit"); got != 0 {
 		t.Errorf("job.submit called %d times despite rejected delegation", got)
 	}
-	// The failed handoff force-opened the peer's breaker: the next cycle
-	// must not re-claim and thrash.
-	if open := h.sched.Stats().BreakerOpen; open != 1 {
-		t.Errorf("BreakerOpen = %d after rejected delegation, want 1", open)
+	// A refused delegation is a fault answer from a live peer: its
+	// breaker stays closed, and the next cycle tries one handoff again,
+	// which is refused again before any job.submit.
+	if open := h.sched.Stats().BreakerOpen; open != 0 {
+		t.Errorf("BreakerOpen = %d after rejected delegation, want 0", open)
 	}
 	h.sched.Kick()
-	if got := conn.callCount("proxy.login_delegated"); got != 1 {
-		t.Errorf("delegation retried %d times while the breaker was open", got)
+	if got := conn.callCount("proxy.login_delegated"); got != 2 {
+		t.Errorf("delegation handoffs = %d after a second cycle, want 2", got)
+	}
+	if st := h.sched.Stats(); st.Forwarded != 0 || st.Fallbacks != 6 || conn.callCount("job.submit") != 0 {
+		t.Fatalf("stats = %+v, job.submit calls = %d; want 6 fallbacks and no submit", st, conn.callCount("job.submit"))
 	}
 	for i := 0; i < 4; i++ {
 		h.gate <- struct{}{}
@@ -696,8 +700,9 @@ func TestPartitionedPeerOrphanCancelledOnReturn(t *testing.T) {
 // follows: a fault answer means the peer is alive, so the connection
 // stays cached and the breaker records no failure; a transport error
 // counts one breaker failure and drops the connection, so the next call
-// re-dials. A failed forward also force-opens the peer's breaker, so the
-// forward rows find it open and reset it before checking for a re-dial.
+// re-dials. A forward that fails without a fault answer also force-opens
+// the peer's breaker, so those rows find it open and reset it before
+// checking for a re-dial.
 func TestPeerExchangeOutcomes(t *testing.T) {
 	const url = "http://peer1/rpc"
 	otherDN := pki.MustParseDN("/O=grid/OU=People/CN=Other User")
@@ -711,12 +716,12 @@ func TestPeerExchangeOutcomes(t *testing.T) {
 		h.sched.forward()
 	}
 	callers := []struct {
-		name      string
-		method    string // the outcome is injected on this method ("system.multicall": the whole batch)
-		status    string // the peer's job.status answer; "expired" is an auth fault
-		artifact  bool   // job.output references an artifact fetched with file.read
-		penalized bool   // a failure force-opens the breaker
-		run       func(h *harness, j *jobsvc.Job)
+		name     string
+		method   string // the outcome is injected on this method ("system.multicall": the whole batch)
+		status   string // the peer's job.status answer; "expired" is an auth fault
+		artifact bool   // job.output references an artifact fetched with file.read
+		forward  bool   // a transport failure force-opens the breaker
+		run      func(h *harness, j *jobsvc.Job)
 	}{
 		{name: "stats poll", method: "job.stats", run: func(h *harness, j *jobsvc.Job) { h.sched.pollPeers() }},
 		{name: "watch sweep", method: "system.multicall", run: watch},
@@ -728,8 +733,8 @@ func TestPeerExchangeOutcomes(t *testing.T) {
 		}},
 		{name: "Refresh", method: "system.multicall", run: func(h *harness, j *jobsvc.Job) { h.sched.Refresh(j) }},
 		{name: "CancelRemote", method: "job.cancel", run: func(h *harness, j *jobsvc.Job) { h.sched.CancelRemote(j) }},
-		{name: "forward login", method: "proxy.login_delegated", penalized: true, run: forwardOther},
-		{name: "forward submit", method: "system.multicall", penalized: true, run: forwardOther},
+		{name: "forward login", method: "proxy.login_delegated", forward: true, run: forwardOther},
+		{name: "forward submit", method: "system.multicall", forward: true, run: forwardOther},
 		{name: "pull-back", method: "job.output", status: "done", run: watch},
 		{name: "artifact", method: "file.read", status: "done", artifact: true, run: watch},
 		{name: "renewal", method: "proxy.login_delegated", status: "expired", run: watch},
@@ -790,14 +795,15 @@ func TestPeerExchangeOutcomes(t *testing.T) {
 				if got := h.sched.breakers.For(url).Stats().Failures - before; got != o.failures {
 					t.Errorf("breaker failures +%d, want +%d", got, o.failures)
 				}
+				penalized := c.forward && o.redial
 				want := resilience.Closed
-				if c.penalized {
+				if penalized {
 					want = resilience.Open
 				}
 				if st := h.sched.breakers.State(url); st != want {
 					t.Errorf("breaker %s, want %s", st, want)
 				}
-				if c.penalized {
+				if penalized {
 					h.sched.breakers.Forget(url) // let the next call through
 				}
 				h.sched.pollPeers()
@@ -1168,6 +1174,51 @@ func TestFailedForwardFallsBackTheRestOfTheCycle(t *testing.T) {
 	}
 	for _, id := range ids {
 		waitState(t, h.jobs, id, jobsvc.StateDone)
+	}
+}
+
+// TestRefusedDelegationSparesHealthyRemoteJobs: a peer that refuses one
+// owner's delegation is still alive. Its breaker stays closed, so the
+// other owner's job keeps running there through later watch sweeps
+// instead of falling back after DeadPolls refused sweeps.
+func TestRefusedDelegationSparesHealthyRemoteJobs(t *testing.T) {
+	h := newHarness(t, Config{Pressure: -1}, nil)
+	conn := h.addPeer("peer1", "http://peer1/rpc", 4)
+	base := conn.handle
+	conn.handle = func(token, method string, params []any) (any, error) {
+		if method == "job.status" {
+			return map[string]any{"state": "running"}, nil
+		}
+		return base(token, method, params)
+	}
+	h.occupy(t)
+	// Release whatever runs locally at the end, even on failure.
+	t.Cleanup(func() { h.gate <- struct{}{}; h.gate <- struct{}{} })
+	ids := h.submit(t, 1)
+	h.sched.Kick() // forwarded under the first owner's delegated session
+	if st := h.sched.Stats(); st.Forwarded != 1 {
+		t.Fatalf("stats = %+v, want 1 forwarded", st)
+	}
+
+	conn.failWith("proxy.login_delegated", &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "issuer refused the delegation"})
+	other, err := h.jobs.Submit(pki.MustParseDN("/O=grid/OU=People/CN=Other User"), "echo other", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.sched.Kick() // the second owner's handoff is refused
+	// The refused job runs here once the blocker is done, so later cycles
+	// have nothing left to forward.
+	h.gate <- struct{}{}
+	waitState(t, h.jobs, other.ID, jobsvc.StateRunning)
+
+	for range 3 {
+		h.sched.Kick()
+	}
+	if st := h.sched.Stats(); st.Fallbacks != 1 || st.Peers != 1 {
+		t.Errorf("stats = %+v, want 1 fallback and 1 live peer", st)
+	}
+	if j, _ := h.jobs.Get(ids[0]); j.State != jobsvc.StateRemote {
+		t.Errorf("healthy remote job = %s, want still %s", j.State, jobsvc.StateRemote)
 	}
 }
 
