@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,10 +81,13 @@ func TestBatchCarriesSessionIdentity(t *testing.T) {
 	}
 }
 
-// TestTypedAccessorCoercion is the cross-codec table test: integral
-// results must be accepted by CallInt however the protocol carried them
-// (JSON-RPC hands doubles back as float64; XML-RPC and SOAP as int), and
-// CallBool must take both native booleans and exact 0/1 numerics.
+// TestTypedAccessorCoercion is the cross-codec table test of the
+// client's typed results: integral results must be accepted by CallInt
+// however the protocol carried them (JSON-RPC hands doubles back as
+// float64; XML-RPC and SOAP as int), and CallBool must take both native
+// booleans and exact 0/1 numerics. The second table pins every result
+// type over every protocol, round-tripped through system.echo: a row
+// either yields the Go value it names or is refused by the client.
 func TestTypedAccessorCoercion(t *testing.T) {
 	srv, _ := startFull(t)
 	for _, proto := range []string{"xmlrpc", "jsonrpc", "soap"} {
@@ -131,6 +135,88 @@ func TestTypedAccessorCoercion(t *testing.T) {
 			}
 			if _, err := c.CallBool("system.echo", 2); err == nil {
 				t.Error("CallBool accepted 2")
+			}
+
+			asString := func(v any) (any, error) { return c.CallString("system.echo", v) }
+			asInt := func(v any) (any, error) { return c.CallInt("system.echo", v) }
+			asBool := func(v any) (any, error) { return c.CallBool("system.echo", v) }
+			asBytes := func(v any) (any, error) { return c.CallBytes("system.echo", v) }
+			asList := func(v any) (any, error) { return c.CallList("system.echo", v) }
+			asStrings := func(v any) (any, error) { return c.CallStringList("system.echo", v) }
+			asStruct := func(v any) (any, error) { return c.CallStruct("system.echo", v) }
+			const refused = "refused"
+			for _, tc := range []struct {
+				name string
+				as   func(any) (any, error)
+				echo any
+				want any // the Go value yielded, or refused
+			}{
+				{"string", asString, "hello", "hello"},
+				{"string", asString, "", ""},
+				{"string", asString, 42, refused},
+				{"string", asString, true, refused},
+				{"string", asString, []byte("abc"), refused},
+				{"string", asString, []any{"a"}, refused},
+
+				{"int", asInt, 42, 42},
+				{"int", asInt, -7, -7},
+				{"int", asInt, 42.0, 42},
+				{"int", asInt, int64(1 << 40), 1 << 40},
+				{"int", asInt, 3.5, refused},
+				{"int", asInt, "42", refused},
+				{"int", asInt, true, refused},
+
+				{"bool", asBool, true, true},
+				{"bool", asBool, false, false},
+				{"bool", asBool, 1, true},
+				{"bool", asBool, 0, false},
+				{"bool", asBool, 1.0, true},
+				{"bool", asBool, 0.0, false},
+				{"bool", asBool, 2, refused},
+				{"bool", asBool, -1, refused},
+				{"bool", asBool, 0.5, refused},
+				{"bool", asBool, "true", refused},
+
+				{"bytes", asBytes, []byte("abc"), []byte("abc")},
+				{"bytes", asBytes, []byte{}, []byte{}},
+				{"bytes", asBytes, "hello", []byte("hello")},
+				{"bytes", asBytes, "", []byte{}},
+				{"bytes", asBytes, 42, refused},
+				{"bytes", asBytes, []any{"a"}, refused},
+
+				{"list", asList, []any{"a", 1}, []any{"a", 1}},
+				{"list", asList, []any{}, []any{}},
+				{"list", asList, []string{"a", "b"}, []any{"a", "b"}},
+				{"list", asList, "a", refused},
+				{"list", asList, []byte("abc"), refused},
+				{"list", asList, map[string]any{"k": "v"}, refused},
+
+				{"strings", asStrings, []string{"a", "b"}, []string{"a", "b"}},
+				{"strings", asStrings, []any{"a", "b"}, []string{"a", "b"}},
+				{"strings", asStrings, []any{}, []string{}},
+				{"strings", asStrings, []any{"a", 1}, refused},
+				{"strings", asStrings, []any{"a", 1.5}, refused},
+				{"strings", asStrings, "a", refused},
+				{"strings", asStrings, map[string]any{"k": "v"}, refused},
+
+				{"struct", asStruct, map[string]any{"k": "v", "n": 1}, map[string]any{"k": "v", "n": 1}},
+				{"struct", asStruct, map[string]any{}, map[string]any{}},
+				{"struct", asStruct, []any{}, refused},
+				{"struct", asStruct, "x", refused},
+				{"struct", asStruct, 1, refused},
+			} {
+				got, err := tc.as(tc.echo)
+				var fault *rpc.Fault
+				switch {
+				case tc.want == refused && err == nil:
+					t.Errorf("%s(echo %#v) = %#v, want it refused", tc.name, tc.echo, got)
+				case tc.want == refused && errors.As(err, &fault):
+					t.Errorf("%s(echo %#v): server fault %v, want a client-side refusal", tc.name, tc.echo, err)
+				case tc.want != refused && err != nil:
+					t.Errorf("%s(echo %#v): %v", tc.name, tc.echo, err)
+				case tc.want != refused && !reflect.DeepEqual(got, tc.want):
+					t.Errorf("%s(echo %#v) = %#v, want %#v", tc.name, tc.echo, got, tc.want)
+				}
 			}
 		})
 	}
