@@ -107,14 +107,14 @@ func TestTypedAccessorCoercion(t *testing.T) {
 				{"integral-double", 42.0, 42},
 				{"zero-double", 0.0, 0},
 			} {
-				n, err := c.CallInt("system.echo", tc.echo)
+				n, err := CallAs[int](c, "system.echo", tc.echo)
 				if err != nil {
 					t.Errorf("CallInt(echo %v): %v", tc.echo, err)
 				} else if n != tc.want {
 					t.Errorf("CallInt(echo %v) = %d, want %d", tc.echo, n, tc.want)
 				}
 			}
-			if _, err := c.CallInt("system.echo", 3.5); err == nil {
+			if _, err := CallAs[int](c, "system.echo", 3.5); err == nil {
 				t.Error("CallInt accepted non-integral 3.5")
 			}
 			for _, tc := range []struct {
@@ -126,24 +126,24 @@ func TestTypedAccessorCoercion(t *testing.T) {
 				{1, true},
 				{0, false},
 			} {
-				b, err := c.CallBool("system.echo", tc.echo)
+				b, err := CallAs[bool](c, "system.echo", tc.echo)
 				if err != nil {
 					t.Errorf("CallBool(echo %v): %v", tc.echo, err)
 				} else if b != tc.want {
 					t.Errorf("CallBool(echo %v) = %v, want %v", tc.echo, b, tc.want)
 				}
 			}
-			if _, err := c.CallBool("system.echo", 2); err == nil {
+			if _, err := CallAs[bool](c, "system.echo", 2); err == nil {
 				t.Error("CallBool accepted 2")
 			}
 
-			asString := func(v any) (any, error) { return c.CallString("system.echo", v) }
-			asInt := func(v any) (any, error) { return c.CallInt("system.echo", v) }
-			asBool := func(v any) (any, error) { return c.CallBool("system.echo", v) }
-			asBytes := func(v any) (any, error) { return c.CallBytes("system.echo", v) }
-			asList := func(v any) (any, error) { return c.CallList("system.echo", v) }
-			asStrings := func(v any) (any, error) { return c.CallStringList("system.echo", v) }
-			asStruct := func(v any) (any, error) { return c.CallStruct("system.echo", v) }
+			asString := func(v any) (any, error) { return CallAs[string](c, "system.echo", v) }
+			asInt := func(v any) (any, error) { return CallAs[int](c, "system.echo", v) }
+			asBool := func(v any) (any, error) { return CallAs[bool](c, "system.echo", v) }
+			asBytes := func(v any) (any, error) { return CallAs[[]byte](c, "system.echo", v) }
+			asList := func(v any) (any, error) { return CallAs[[]any](c, "system.echo", v) }
+			asStrings := func(v any) (any, error) { return CallAs[[]string](c, "system.echo", v) }
+			asStruct := func(v any) (any, error) { return CallAs[map[string]any](c, "system.echo", v) }
 			const refused = "refused"
 			for _, tc := range []struct {
 				name string

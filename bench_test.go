@@ -613,7 +613,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 	c.SetSession(sess.ID)
 
 	completed := func() int {
-		st, err := c.CallStruct("job.stats")
+		st, err := CallAs[map[string]any](c, "job.stats")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -622,7 +622,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 		return done + failed
 	}
 	// Warm the path and establish the completion baseline.
-	if _, err := c.CallString("job.submit", "echo warm"); err != nil {
+	if _, err := CallAs[string](c, "job.submit", "echo warm"); err != nil {
 		b.Fatal(err)
 	}
 	for completed() < 1 {
@@ -633,7 +633,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.CallString("job.submit", "echo payload"); err != nil {
+		if _, err := CallAs[string](c, "job.submit", "echo payload"); err != nil {
 			b.Fatal(err)
 		}
 	}

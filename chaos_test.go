@@ -177,7 +177,7 @@ func TestChaosSIGKILLMidBurstLosesNoAcknowledgedWrites(t *testing.T) {
 	const killAfter = 64
 	acked := 0
 	for i := 0; ; i++ {
-		if _, err := c.CallString("message.send", userDN.String(), fmt.Sprintf("burst-%d", i), "payload"); err != nil {
+		if _, err := CallAs[string](c, "message.send", userDN.String(), fmt.Sprintf("burst-%d", i), "payload"); err != nil {
 			break // the kill interrupted this (unacknowledged) send
 		}
 		acked++
@@ -201,7 +201,7 @@ func TestChaosSIGKILLMidBurstLosesNoAcknowledgedWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	n, err := c2.CallInt("message.count")
+	n, err := CallAs[int](c2, "message.count")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestChaosFederationPeerKilledAndRevived(t *testing.T) {
 		t.Fatal(err)
 	}
 	cH.SetSession(sessH.ID)
-	if _, err := cH.CallString("job.submit", "sleep 30", 100, 0); err != nil {
+	if _, err := CallAs[string](cH, "job.submit", "sleep 30", 100, 0); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(10 * time.Second)
@@ -348,7 +348,7 @@ func TestChaosFederationPeerKilledAndRevived(t *testing.T) {
 	c.SetSession(sess.ID)
 	var ids []string
 	for i := 0; i < 10; i++ {
-		id, err := c.CallString("job.submit", "sleep 0.5 && echo chaos")
+		id, err := CallAs[string](c, "job.submit", "sleep 0.5 && echo chaos")
 		if err != nil {
 			t.Fatal(err)
 		}

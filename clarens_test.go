@@ -61,7 +61,7 @@ func startFull(t *testing.T) (*Server, *Client) {
 
 func TestFullServerHasMoreThan30Methods(t *testing.T) {
 	srv, c := startFull(t)
-	methods, err := c.CallStringList("system.list_methods")
+	methods, err := CallAs[[]string](c, "system.list_methods")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +92,14 @@ func TestAllProtocolsAgainstLiveServer(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			got, err := c.CallString("system.echo", "cross-protocol")
+			got, err := CallAs[string](c, "system.echo", "cross-protocol")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != "cross-protocol" {
 				t.Errorf("echo = %q", got)
 			}
-			pong, err := c.CallString("system.ping")
+			pong, err := CallAs[string](c, "system.ping")
 			if err != nil || pong != "pong" {
 				t.Errorf("ping = %q %v", pong, err)
 			}
@@ -159,7 +159,7 @@ func TestFileServiceEndToEnd(t *testing.T) {
 		t.Errorf("read %d bytes", len(data))
 	}
 	sum := md5.Sum(data)
-	remote, err := c.FileMD5("/data/events.bin")
+	remote, err := CallAs[string](c, "file.md5", "/data/events.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestShellEndToEnd(t *testing.T) {
 	srv, c := startFull(t)
 	sess, _ := srv.NewSessionFor(userDN)
 	c.SetSession(sess.ID)
-	res, err := c.CallStruct("shell.cmd", "echo from-test > hello.txt && cat hello.txt")
+	res, err := CallAs[map[string]any](c, "shell.cmd", "echo from-test > hello.txt && cat hello.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestShellEndToEnd(t *testing.T) {
 	}
 	// The sandbox is visible through the file service, as the paper says.
 	sandbox := res["sandbox"].(string)
-	data, err := c.FileRead(sandbox+"/hello.txt", 0, -1)
+	data, _, err := c.FileReadChunk(sandbox+"/hello.txt", 0, -1)
 	if err != nil {
 		// requires a read grant: admins bypass; grant the user.
 		srv.Files.Grant(sandbox, 0, []string{userDN.String()}, nil)
-		data, err = c.FileRead(sandbox+"/hello.txt", 0, -1)
+		data, _, err = c.FileReadChunk(sandbox+"/hello.txt", 0, -1)
 		if err != nil {
 			t.Fatalf("file.read of sandbox: %v", err)
 		}
@@ -223,7 +223,7 @@ func TestProxyLoginEndToEnd(t *testing.T) {
 	if token == "" || c.Session() != token {
 		t.Error("session token not installed")
 	}
-	who, err := c.CallString("system.whoami")
+	who, err := CallAs[string](c, "system.whoami")
 	if err != nil || who != userDN.String() {
 		t.Errorf("whoami = %q %v", who, err)
 	}
@@ -274,7 +274,7 @@ func TestVOAdministrationOverClient(t *testing.T) {
 	if _, err := c.Call("vo.add_member", "cms", userDN.String()); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.CallBool("vo.is_member", "cms", userDN.String())
+	ok, err := CallAs[bool](c, "vo.is_member", "cms", userDN.String())
 	if err != nil || !ok {
 		t.Errorf("is_member = %v %v", ok, err)
 	}
@@ -293,23 +293,23 @@ func TestCallAsyncCompletesAll(t *testing.T) {
 
 func TestTypedHelperErrors(t *testing.T) {
 	_, c := startFull(t)
-	if _, err := c.CallString("system.list_methods"); err == nil {
-		t.Error("CallString on array must error")
+	if _, err := CallAs[string](c, "system.list_methods"); err == nil {
+		t.Error("CallAs[string] on array must error")
 	}
-	if _, err := c.CallBool("system.ping"); err == nil {
-		t.Error("CallBool on string must error")
+	if _, err := CallAs[bool](c, "system.ping"); err == nil {
+		t.Error("CallAs[bool] on string must error")
 	}
-	if _, err := c.CallInt("system.ping"); err == nil {
-		t.Error("CallInt on string must error")
+	if _, err := CallAs[int](c, "system.ping"); err == nil {
+		t.Error("CallAs[int] on string must error")
 	}
-	if _, err := c.CallList("system.ping"); err == nil {
-		t.Error("CallList on string must error")
+	if _, err := CallAs[[]any](c, "system.ping"); err == nil {
+		t.Error("CallAs[[]any] on string must error")
 	}
-	if _, err := c.CallStruct("system.ping"); err == nil {
-		t.Error("CallStruct on string must error")
+	if _, err := CallAs[map[string]any](c, "system.ping"); err == nil {
+		t.Error("CallAs[map[string]any] on string must error")
 	}
-	if _, err := c.CallStringList("system.ping"); err == nil {
-		t.Error("CallStringList on string must error")
+	if _, err := CallAs[[]string](c, "system.ping"); err == nil {
+		t.Error("CallAs[[]string] on string must error")
 	}
 }
 
@@ -349,22 +349,22 @@ func TestJobMessaging(t *testing.T) {
 	defer jobClient.Close()
 
 	// User -> job: steering command.
-	id, err := userClient.CallString("message.send", jobDN.String(), "steer", "reduce batch size")
+	id, err := CallAs[string](userClient, "message.send", jobDN.String(), "steer", "reduce batch size")
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := jobClient.CallList("message.poll")
+	msgs, err := CallAs[[]any](jobClient, "message.poll")
 	if err != nil || len(msgs) != 1 {
 		t.Fatalf("job poll = %v %v", msgs, err)
 	}
-	if ok, err := jobClient.CallBool("message.ack", id); err != nil || !ok {
+	if ok, err := CallAs[bool](jobClient, "message.ack", id); err != nil || !ok {
 		t.Fatalf("ack = %v %v", ok, err)
 	}
 	// Job -> user: progress report (bi-directional, the §6 requirement).
-	if _, err := jobClient.CallString("message.send", userDN.String(), "progress", "events=120000"); err != nil {
+	if _, err := CallAs[string](jobClient, "message.send", userDN.String(), "progress", "events=120000"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := userClient.CallInt("message.count")
+	n, err := CallAs[int](userClient, "message.count")
 	if err != nil || n != 1 {
 		t.Fatalf("user count = %d %v", n, err)
 	}
@@ -396,14 +396,14 @@ func TestPersistentServerRestart(t *testing.T) {
 	}
 	c, _ := Dial(srv2.URL(), WithSession(sess.ID))
 	defer c.Close()
-	who, err := c.CallString("system.whoami")
+	who, err := CallAs[string](c, "system.whoami")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if who != userDN.String() {
 		t.Errorf("whoami after restart = %q — sessions must survive restarts (paper §2)", who)
 	}
-	groups, err := c.CallStringList("vo.groups")
+	groups, err := CallAs[[]string](c, "vo.groups")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"clarens/internal/core"
+	"clarens/internal/jobsvc"
 	"clarens/internal/pki"
 	"clarens/internal/resilience"
 	"clarens/internal/rpc"
@@ -534,6 +535,24 @@ func (c *Client) CallCtx(ctx context.Context, method string, params ...any) (any
 	return result, nil
 }
 
+// CallAs invokes a method and returns its result as a T, read under the
+// rule the server's typed parameters follow (rpc.As): an int result may
+// arrive as an integral float64, a bool as an exact 0 or 1, []byte as a
+// string, and []string as an array of strings; any other T must match
+// exactly. It is a function because a method cannot have type parameters.
+func CallAs[T any](c *Client, method string, params ...any) (T, error) {
+	v, err := c.Call(method, params...)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	t, err := rpc.As[T](v)
+	if err != nil {
+		return t, fmt.Errorf("clarens: %s result: %w", method, err)
+	}
+	return t, nil
+}
+
 // callOnce performs one wire round trip with no retry involvement.
 func (c *Client) callOnce(ctx context.Context, method string, params ...any) (any, error) {
 	req := &rpc.Request{Method: method, Params: params, ID: int(c.nextID.Add(1))}
@@ -594,13 +613,9 @@ func truncate(b []byte, n int) string {
 // Auth establishes a session via system.auth (requires a TLS client
 // certificate) and installs the returned token on the client.
 func (c *Client) Auth() (string, error) {
-	v, err := c.Call("system.auth")
+	token, err := CallAs[string](c, "system.auth")
 	if err != nil {
 		return "", err
-	}
-	token, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("clarens: system.auth returned %T", v)
 	}
 	c.SetSession(token)
 	return token, nil
@@ -609,13 +624,9 @@ func (c *Client) Auth() (string, error) {
 // ProxyLogin establishes a session via proxy.login (stored proxy DN and
 // password) and installs the token.
 func (c *Client) ProxyLogin(dn DN, password string) (string, error) {
-	v, err := c.Call("proxy.login", dn.String(), password)
+	token, err := CallAs[string](c, "proxy.login", dn.String(), password)
 	if err != nil {
 		return "", err
-	}
-	token, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("clarens: proxy.login returned %T", v)
 	}
 	c.SetSession(token)
 	return token, nil
@@ -628,129 +639,6 @@ func (c *Client) Logout() error {
 	return err
 }
 
-// Typed call helpers.
-
-// CallString invokes a method whose result is a string.
-func (c *Client) CallString(method string, params ...any) (string, error) {
-	v, err := c.Call(method, params...)
-	if err != nil {
-		return "", err
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("clarens: %s returned %T, want string", method, v)
-	}
-	return s, nil
-}
-
-// CallBool invokes a method whose result is a bool. Codecs differ in how
-// they surface booleans and small numerics (XML-RPC's <boolean> is 0/1 on
-// the wire; JSON-RPC carries plain numbers), so exact 0/1 numerics coerce
-// rather than erroring.
-func (c *Client) CallBool(method string, params ...any) (bool, error) {
-	v, err := c.Call(method, params...)
-	if err != nil {
-		return false, err
-	}
-	b, ok := coerceBool(v)
-	if !ok {
-		return false, fmt.Errorf("clarens: %s returned %T, want bool", method, v)
-	}
-	return b, nil
-}
-
-// CallInt invokes a method whose result is an int. Integral values are
-// accepted however the protocol carried them: XML-RPC and SOAP decode
-// <int> to int, while JSON cannot distinguish 3.0 from 3, so a JSON-RPC
-// peer may deliver an exact float64 — both coerce.
-func (c *Client) CallInt(method string, params ...any) (int, error) {
-	v, err := c.Call(method, params...)
-	if err != nil {
-		return 0, err
-	}
-	n, ok := rpc.CoerceInt(v)
-	if !ok {
-		return 0, fmt.Errorf("clarens: %s returned %T, want int", method, v)
-	}
-	return n, nil
-}
-
-// coerceBool accepts bool plus the exact 0/1 numerics some codecs and
-// services emit for truth values.
-func coerceBool(v any) (bool, bool) {
-	switch b := v.(type) {
-	case bool:
-		return b, true
-	case int:
-		if b == 0 || b == 1 {
-			return b == 1, true
-		}
-	case float64:
-		if b == 0 || b == 1 {
-			return b == 1, true
-		}
-	}
-	return false, false
-}
-
-// CallBytes invokes a method whose result is binary data.
-func (c *Client) CallBytes(method string, params ...any) ([]byte, error) {
-	v, err := c.Call(method, params...)
-	if err != nil {
-		return nil, err
-	}
-	switch b := v.(type) {
-	case []byte:
-		return b, nil
-	case string:
-		return []byte(b), nil
-	}
-	return nil, fmt.Errorf("clarens: %s returned %T, want bytes", method, v)
-}
-
-// CallList invokes a method whose result is an array.
-func (c *Client) CallList(method string, params ...any) ([]any, error) {
-	v, err := c.Call(method, params...)
-	if err != nil {
-		return nil, err
-	}
-	l, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("clarens: %s returned %T, want array", method, v)
-	}
-	return l, nil
-}
-
-// CallStringList invokes a method whose result is an array of strings.
-func (c *Client) CallStringList(method string, params ...any) ([]string, error) {
-	l, err := c.CallList(method, params...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(l))
-	for i, e := range l {
-		s, ok := e.(string)
-		if !ok {
-			return nil, fmt.Errorf("clarens: %s element %d is %T, want string", method, i, e)
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// CallStruct invokes a method whose result is a struct.
-func (c *Client) CallStruct(method string, params ...any) (map[string]any, error) {
-	v, err := c.Call(method, params...)
-	if err != nil {
-		return nil, err
-	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("clarens: %s returned %T, want struct", method, v)
-	}
-	return m, nil
-}
-
 // File access conveniences mirroring the paper's file service interface.
 
 // FileReadChunk reads one file.read chunk: up to length bytes from name
@@ -758,29 +646,17 @@ func (c *Client) CallStruct(method string, params ...any) (map[string]any, error
 // whether the chunk reached the end of the file, so iterating callers
 // terminate without a zero-byte probe call.
 func (c *Client) FileReadChunk(name string, offset int64, length int) (data []byte, eof bool, err error) {
-	v, err := c.Call("file.read", name, int(offset), length)
+	m, err := CallAs[map[string]any](c, "file.read", name, int(offset), length)
 	if err != nil {
 		return nil, false, err
 	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, false, fmt.Errorf("clarens: file.read returned %T, want struct", v)
-	}
 	if m["data"] != nil {
-		var ok bool
-		if data, ok = rpc.CoerceBytes(m["data"]); !ok {
-			return nil, false, fmt.Errorf("clarens: file.read data is %T", m["data"])
+		if data, err = rpc.As[[]byte](m["data"]); err != nil {
+			return nil, false, fmt.Errorf("clarens: file.read data: %w", err)
 		}
 	}
 	eof, _ = m["eof"].(bool)
 	return data, eof, nil
-}
-
-// FileRead reads length bytes from name starting at offset (length -1
-// reads to the per-call cap).
-func (c *Client) FileRead(name string, offset, length int) ([]byte, error) {
-	data, _, err := c.FileReadChunk(name, int64(offset), length)
-	return data, err
 }
 
 // FetchFile streams a server file into w by chunk-iterating file.read
@@ -871,7 +747,11 @@ func (c *Client) FileReadAll(name string) ([]byte, error) {
 
 // FileLs lists a directory.
 func (c *Client) FileLs(dir string) ([]map[string]any, error) {
-	l, err := c.CallList("file.ls", dir)
+	return structs(CallAs[[]any](c, "file.ls", dir))
+}
+
+// structs keeps the struct entries of an array result.
+func structs(l []any, err error) ([]map[string]any, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -884,19 +764,7 @@ func (c *Client) FileLs(dir string) ([]map[string]any, error) {
 	return out, nil
 }
 
-// FileMD5 returns the server-computed MD5 of a file.
-func (c *Client) FileMD5(name string) (string, error) {
-	return c.CallString("file.md5", name)
-}
-
 // Job conveniences over the job.* service.
-
-// JobSubmit queues a command on the server's job scheduler and returns
-// the job id. Higher priority runs first; maxRetries bounds re-execution
-// of failing attempts.
-func (c *Client) JobSubmit(command string, priority, maxRetries int) (string, error) {
-	return c.CallString("job.submit", command, priority, maxRetries)
-}
 
 // JobWait blocks server-side until the job reaches a terminal state (or
 // the timeout elapses) and returns its status record — one round trip
@@ -907,19 +775,13 @@ func (c *Client) JobWait(id string, timeout time.Duration) (map[string]any, erro
 	if secs < 1 {
 		secs = 1
 	}
-	return c.CallStruct("job.wait", id, secs)
+	return CallAs[map[string]any](c, "job.wait", id, secs)
 }
 
-// JobArtifact is a staged output file referenced by a job record.
-type JobArtifact struct {
-	Name string // "stdout", "stderr", or a collected sandbox file
-	Path string // virtual fileservice path, fetchable via file.read / HTTP GET
-	Size int64
-	MD5  string
-	// Partial marks a stream the server's spool byte cap cut short: the
-	// staged file holds only the first Size bytes.
-	Partial bool
-}
+// JobArtifact is a staged output file referenced by a job record: its
+// Path is fetchable via file.read or HTTP GET, and Partial marks a
+// stream the server's spool byte cap cut short.
+type JobArtifact = jobsvc.Artifact
 
 // JobOutputResult is a job's resolved output.
 type JobOutputResult struct {
@@ -942,39 +804,25 @@ type JobOutputResult struct {
 // list. Callers that want the full streams use JobOutput (in-memory) or
 // stream each artifact's Path themselves with FetchFile/FetchFileHTTP.
 func (c *Client) JobOutputHead(id string) (*JobOutputResult, error) {
-	m, err := c.CallStruct("job.output", id)
+	m, err := CallAs[map[string]any](c, "job.output", id)
 	if err != nil {
 		return nil, err
 	}
-	res := &JobOutputResult{}
-	res.Stdout, _ = m["stdout"].(string)
-	res.Stderr, _ = m["stderr"].(string)
-	res.ExitCode, _ = rpc.CoerceInt(m["exit_code"])
-	res.State, _ = m["state"].(string)
-	res.Truncated, _ = m["truncated"].(bool)
-	res.StdoutTruncated, _ = m["stdout_truncated"].(bool)
-	res.StderrTruncated, _ = m["stderr_truncated"].(bool)
+	out, state := jobsvc.ParseOutput(m)
+	res := &JobOutputResult{
+		Stdout:          out.Stdout,
+		Stderr:          out.Stderr,
+		ExitCode:        out.ExitCode,
+		State:           state,
+		Truncated:       out.Truncated,
+		StdoutTruncated: out.StdoutTruncated,
+		StderrTruncated: out.StderrTruncated,
+		Artifacts:       out.Artifacts,
+	}
 	if res.Truncated && !res.StdoutTruncated && !res.StderrTruncated {
 		// A server that only reports the aggregate: assume either stream
 		// may be the incomplete one.
 		res.StdoutTruncated, res.StderrTruncated = true, true
-	}
-	if arts, ok := m["artifacts"].([]any); ok {
-		for _, e := range arts {
-			am, _ := e.(map[string]any)
-			if am == nil {
-				continue
-			}
-			a := JobArtifact{}
-			a.Name, _ = am["name"].(string)
-			a.Path, _ = am["path"].(string)
-			if n, ok := rpc.CoerceInt(am["size"]); ok {
-				a.Size = int64(n)
-			}
-			a.MD5, _ = am["md5"].(string)
-			a.Partial, _ = am["partial"].(bool)
-			res.Artifacts = append(res.Artifacts, a)
-		}
 	}
 	return res, nil
 }
@@ -1022,17 +870,7 @@ func (c *Client) JobOutput(id string) (*JobOutputResult, error) {
 
 // Discover queries the server's discovery cache.
 func (c *Client) Discover(pattern string) ([]map[string]any, error) {
-	l, err := c.CallList("discovery.find", pattern)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]map[string]any, 0, len(l))
-	for _, e := range l {
-		if m, ok := e.(map[string]any); ok {
-			out = append(out, m)
-		}
-	}
-	return out, nil
+	return structs(CallAs[[]any](c, "discovery.find", pattern))
 }
 
 // Close releases idle connections.

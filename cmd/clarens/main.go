@@ -75,7 +75,7 @@ func main() {
 func run(c *clarens.Client, args []string) error {
 	switch args[0] {
 	case "methods":
-		methods, err := c.CallStringList("system.list_methods")
+		methods, err := clarens.CallAs[[]string](c, "system.list_methods")
 		if err != nil {
 			return err
 		}
@@ -87,7 +87,7 @@ func run(c *clarens.Client, args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: help <method>")
 		}
-		help, err := c.CallString("system.method_help", args[1])
+		help, err := clarens.CallAs[string](c, "system.method_help", args[1])
 		if err != nil {
 			return err
 		}
@@ -107,7 +107,7 @@ func run(c *clarens.Client, args []string) error {
 		}
 		return printJSON(result)
 	case "whoami":
-		dn, err := c.CallString("system.whoami")
+		dn, err := clarens.CallAs[string](c, "system.whoami")
 		if err != nil {
 			return err
 		}
@@ -146,7 +146,7 @@ func run(c *clarens.Client, args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: shell <command line>")
 		}
-		res, err := c.CallStruct("shell.cmd", args[1])
+		res, err := clarens.CallAs[map[string]any](c, "shell.cmd", args[1])
 		if err != nil {
 			return err
 		}
@@ -189,14 +189,14 @@ func runFile(c *clarens.Client, args []string) error {
 		os.Stdout.Write(data)
 		return nil
 	case "md5":
-		sum, err := c.FileMD5(args[1])
+		sum, err := clarens.CallAs[string](c, "file.md5", args[1])
 		if err != nil {
 			return err
 		}
 		fmt.Println(sum)
 		return nil
 	case "stat":
-		st, err := c.CallStruct("file.stat", args[1])
+		st, err := clarens.CallAs[map[string]any](c, "file.stat", args[1])
 		if err != nil {
 			return err
 		}
@@ -222,7 +222,7 @@ func runDisc(c *clarens.Client, args []string) error {
 		}
 		return printJSON(entries)
 	case "servers":
-		servers, err := c.CallStringList("discovery.servers")
+		servers, err := clarens.CallAs[[]string](c, "discovery.servers")
 		if err != nil {
 			return err
 		}
@@ -241,7 +241,7 @@ func runVO(c *clarens.Client, args []string) error {
 	}
 	switch args[0] {
 	case "groups":
-		groups, err := c.CallStringList("vo.groups")
+		groups, err := clarens.CallAs[[]string](c, "vo.groups")
 		if err != nil {
 			return err
 		}
@@ -250,7 +250,7 @@ func runVO(c *clarens.Client, args []string) error {
 		}
 		return nil
 	case "my":
-		groups, err := c.CallStringList("vo.my_groups")
+		groups, err := clarens.CallAs[[]string](c, "vo.my_groups")
 		if err != nil {
 			return err
 		}
@@ -279,7 +279,7 @@ func runJob(c *clarens.Client, args []string) error {
 		if err != nil {
 			return fmt.Errorf("job submit: %v", err)
 		}
-		id, err := c.CallString("job.submit", params...)
+		id, err := clarens.CallAs[string](c, "job.submit", params...)
 		if err != nil {
 			return err
 		}
@@ -289,7 +289,7 @@ func runJob(c *clarens.Client, args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: job status <id>")
 		}
-		st, err := c.CallStruct("job.status", args[1])
+		st, err := clarens.CallAs[map[string]any](c, "job.status", args[1])
 		if err != nil {
 			return err
 		}
@@ -344,7 +344,7 @@ func runJob(c *clarens.Client, args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("usage: job cancel <id>")
 		}
-		changed, err := c.CallBool("job.cancel", args[1])
+		changed, err := clarens.CallAs[bool](c, "job.cancel", args[1])
 		if err != nil {
 			return err
 		}
@@ -359,7 +359,7 @@ func runJob(c *clarens.Client, args []string) error {
 		if len(args) > 1 {
 			params = append(params, args[1])
 		}
-		jobs, err := c.CallList("job.list", params...)
+		jobs, err := clarens.CallAs[[]any](c, "job.list", params...)
 		if err != nil {
 			return err
 		}
@@ -369,7 +369,7 @@ func runJob(c *clarens.Client, args []string) error {
 		}
 		return nil
 	case "stats":
-		st, err := c.CallStruct("job.stats")
+		st, err := clarens.CallAs[map[string]any](c, "job.stats")
 		if err != nil {
 			return err
 		}
@@ -394,7 +394,7 @@ func runTrace(c *clarens.Client, args []string) error {
 				return fmt.Errorf("trace search: filter must be a JSON object: %v", err)
 			}
 		}
-		rows, err := c.CallList("trace.search", filter)
+		rows, err := clarens.CallAs[[]any](c, "trace.search", filter)
 		if err != nil {
 			return err
 		}
@@ -418,7 +418,7 @@ func runTrace(c *clarens.Client, args []string) error {
 			return fmt.Errorf("trace: unknown option %q", a)
 		}
 	}
-	doc, err := c.CallStruct("trace.get", id, localOnly)
+	doc, err := clarens.CallAs[map[string]any](c, "trace.get", id, localOnly)
 	if err != nil {
 		return err
 	}
@@ -536,7 +536,7 @@ func signatureOf(c *clarens.Client, method string) []string {
 	trace, sample := c.Trace(), c.TraceSampling()
 	c.SetTrace("")
 	c.SetTraceSample(false)
-	sig, _ := c.CallStringList("system.method_signature", method)
+	sig, _ := clarens.CallAs[[]string](c, "system.method_signature", method)
 	c.SetTrace(trace)
 	c.SetTraceSample(sample)
 	return sig

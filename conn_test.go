@@ -84,13 +84,13 @@ func TestTLSResumptionKeepsClientCertDN(t *testing.T) {
 	}
 	defer c.Close()
 
-	who, err := c.CallString("system.whoami")
+	who, err := CallAs[string](c, "system.whoami")
 	if err != nil || who != user.DN().String() {
 		t.Fatalf("whoami over fresh connection = %q, %v", who, err)
 	}
 	// Drop the pooled connection; the next call must dial anew.
 	c.Close()
-	who, err = c.CallString("system.whoami")
+	who, err = CallAs[string](c, "system.whoami")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestHTTP2MultiplexesConcurrentCalls(t *testing.T) {
 
 	// Establish the connection first so the concurrent burst below finds
 	// a live h2 conn to ride (the transport has no dial singleflight).
-	if _, err := c.CallString("system.ping"); err != nil {
+	if _, err := CallAs[string](c, "system.ping"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -188,7 +188,7 @@ func TestWSSubscribeOnHTTP2Server(t *testing.T) {
 
 	// RPC first: initializes the transport's h2 support, mutating the
 	// shared TLS config — the regression this test pins down.
-	if _, err := c.CallString("system.ping"); err != nil {
+	if _, err := CallAs[string](c, "system.ping"); err != nil {
 		t.Fatal(err)
 	}
 	if cs := c.ConnStats(); cs.HTTP2 < 1 {

@@ -74,7 +74,7 @@ func TestGracefulDrainCompletesInFlightWork(t *testing.T) {
 
 	// One job running when the drain starts, one still queued behind it
 	// (a single worker guarantees the ordering).
-	runID, err := c.CallString("job.submit", "sleep 0.4 && echo drained")
+	runID, err := CallAs[string](c, "job.submit", "sleep 0.4 && echo drained")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestGracefulDrainCompletesInFlightWork(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	queuedID, err := c.CallString("job.submit", "echo queued")
+	queuedID, err := CallAs[string](c, "job.submit", "echo queued")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestGracefulDrainCompletesInFlightWork(t *testing.T) {
 			return
 		}
 		defer c2.Close()
-		res, err := c2.CallList("message.wait", 0, 8000)
+		res, err := CallAs[[]any](c2, "message.wait", 0, 8000)
 		if err != nil {
 			waitErr <- err
 			return

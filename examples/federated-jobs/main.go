@@ -159,7 +159,7 @@ func main() {
 			site = peer + " (forwarded)"
 		}
 		where[site]++
-		out, err := c.CallStruct("job.output", id)
+		out, err := clarens.CallAs[map[string]any](c, "job.output", id)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func main() {
 	if _, err := certClient.Call("proxy.store", bundle, "correct horse battery"); err != nil {
 		log.Fatal(err)
 	}
-	info, err := certClient.CallStruct("proxy.info")
+	info, err := clarens.CallAs[map[string]any](certClient, "proxy.info")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func main() {
 	if _, err := pwClient.ProxyLogin(aliceDN, "correct horse battery"); err != nil {
 		log.Fatal(err)
 	}
-	who, err := pwClient.CallString("system.whoami")
+	who, err := clarens.CallAs[string](pwClient, "system.whoami")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("proxy login ok, server sees: %s\n", who)
 
 	// --- 4. sandboxed jobs through the shell service ---
-	res, err := pwClient.CallStruct("shell.cmd",
+	res, err := clarens.CallAs[map[string]any](pwClient, "shell.cmd",
 		`mkdir results && echo "run 42: 1336 events selected" > results/summary.txt && cat results/summary.txt`)
 	if err != nil {
 		log.Fatal(err)

@@ -99,7 +99,7 @@ func main() {
 		}
 		stage = append(stage, strings.Join(lines, " && "))
 	}
-	stageID, err := c.CallString("job.submit", strings.Join(stage, " && "))
+	stageID, err := clarens.CallAs[string](c, "job.submit", strings.Join(stage, " && "))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func main() {
 	pending := make(map[string]bool)
 	shardOf := make(map[string]int)
 	for s := 0; s < shards; s++ {
-		id, err := c.CallString("job.submit", fmt.Sprintf("grep TRIGGER shard%d.dat", s), s, 1)
+		id, err := clarens.CallAs[string](c, "job.submit", fmt.Sprintf("grep TRIGGER shard%d.dat", s), s, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func main() {
 	for s := 0; s < shards; s++ {
 		mergeCmd += fmt.Sprintf(" shard%d.dat", s)
 	}
-	mergeID, err := c.CallString("job.submit", mergeCmd+" && seq 300000", 10, 0,
+	mergeID, err := clarens.CallAs[string](c, "job.submit", mergeCmd+" && seq 300000", 10, 0,
 		[]any{"shard*.dat"})
 	if err != nil {
 		log.Fatal(err)
@@ -171,7 +171,7 @@ func main() {
 		fmt.Printf("HTTP GET %s -> %d bytes\n", c.FileURL(merged.Artifacts[0].Path), buf.Len())
 	}
 
-	stats, err := c.CallStruct("job.stats")
+	stats, err := clarens.CallAs[map[string]any](c, "job.stats")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func main() {
 // in pending has reached a terminal state.
 func waitTerminal(c *clarens.Client, pending map[string]bool) {
 	for len(pending) > 0 {
-		msgs, err := c.CallList("message.wait", 0, 10000)
+		msgs, err := clarens.CallAs[[]any](c, "message.wait", 0, 10000)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -212,7 +212,7 @@ func main() {
 		size := meta[1].Result.(int)
 		data := make([]byte, 0, size)
 		for offset := 0; offset < size; {
-			chunk, err := dataClient.FileRead("/dimuon.events", offset, size-offset)
+			chunk, _, err := dataClient.FileReadChunk("/dimuon.events", int64(offset), size-offset)
 			if err != nil {
 				log.Fatal(err)
 			}

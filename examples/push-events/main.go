@@ -81,7 +81,7 @@ func main() {
 	defer sub.Close()
 
 	for i := 0; i < jobs; i++ {
-		id, err := c.JobSubmit(fmt.Sprintf("sleep 0.%d && echo result-%d", i+1, i), 0, 0)
+		id, err := clarens.CallAs[string](c, "job.submit", fmt.Sprintf("sleep 0.%d && echo result-%d", i+1, i), 0, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sum, err := c.CallInt("math.add", []any{1, 2, 3, 4, 5})
+		sum, err := clarens.CallAs[int](c, "math.add", []any{1, 2, 3, 4, 5})
 		if err != nil {
 			log.Fatalf("%s math.add: %v", proto, err)
 		}
@@ -152,7 +152,7 @@ func main() {
 	}
 
 	// 7. Introspection, like any Clarens client would do.
-	methods, err := c.CallStringList("system.list_methods")
+	methods, err := clarens.CallAs[[]string](c, "system.list_methods")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func main() {
 		}
 	}
 	fmt.Printf("registered methods: %d total, custom: %v\n", len(methods), mine)
-	help, _ := c.CallString("system.method_help", "math.add")
+	help, _ := clarens.CallAs[string](c, "system.method_help", "math.add")
 	fmt.Printf("math.add help: %s\n", help)
 	fmt.Printf("interceptor observed %d dispatched calls (multicall sub-calls included)\n", dispatched.Load())
 }

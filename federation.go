@@ -77,7 +77,7 @@ func verifyDelegationRemote(issuerURL, dn, secret string) (bool, error) {
 		return false, err
 	}
 	defer c.Close()
-	return c.CallBool("proxy.check_delegation", dn, secret)
+	return CallAs[bool](c, "proxy.check_delegation", dn, secret)
 }
 
 // fedEventStream adapts a client push Subscription to the scheduler's

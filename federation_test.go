@@ -97,7 +97,7 @@ func TestDiscoveryFederation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dial %s: %v", url, err)
 		}
-		pong, err := sc.CallString("system.ping")
+		pong, err := CallAs[string](sc, "system.ping")
 		sc.Close()
 		if err != nil || pong != "pong" {
 			t.Errorf("%s via %s: %q %v", server, url, pong, err)
@@ -105,7 +105,7 @@ func TestDiscoveryFederation(t *testing.T) {
 	}
 
 	// discovery.servers on the front-end lists every publisher.
-	names, err := client.CallStringList("discovery.servers")
+	names, err := CallAs[[]string](client, "discovery.servers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,22 +144,22 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				switch i % 4 {
 				case 0:
-					if _, err := cl.CallStringList("system.list_methods"); err != nil {
+					if _, err := CallAs[[]string](cl, "system.list_methods"); err != nil {
 						errs <- fmt.Errorf("%s list: %w", proto, err)
 						return
 					}
 				case 1:
-					if _, err := cl.FileRead("/data/events.bin", 0, 128); err != nil {
+					if _, _, err := cl.FileReadChunk("/data/events.bin", 0, 128); err != nil {
 						errs <- fmt.Errorf("%s read: %w", proto, err)
 						return
 					}
 				case 2:
-					if _, err := cl.CallString("system.whoami"); err != nil {
+					if _, err := CallAs[string](cl, "system.whoami"); err != nil {
 						errs <- fmt.Errorf("%s whoami: %w", proto, err)
 						return
 					}
 				case 3:
-					if _, err := cl.CallStruct("shell.cmd", fmt.Sprintf("echo g%d-i%d", g, i)); err != nil {
+					if _, err := CallAs[map[string]any](cl, "shell.cmd", fmt.Sprintf("echo g%d-i%d", g, i)); err != nil {
 						errs <- fmt.Errorf("%s shell: %w", proto, err)
 						return
 					}
@@ -192,7 +192,7 @@ func TestManyServersOneProcess(t *testing.T) {
 			srv.Close()
 			t.Fatal(err)
 		}
-		if _, err := c.CallString("system.ping"); err != nil {
+		if _, err := CallAs[string](c, "system.ping"); err != nil {
 			t.Errorf("server %d: %v", i, err)
 		}
 		c.Close()
@@ -444,14 +444,14 @@ func TestFederationDrainsBurstFasterThanOneServer(t *testing.T) {
 	c.SetSession(sess.ID)
 	sawForwarded := false
 	for _, id := range ids {
-		st, err := c.CallStruct("job.status", id)
+		st, err := CallAs[map[string]any](c, "job.status", id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st["state"] != "done" {
 			t.Errorf("job %s state = %v", id, st["state"])
 		}
-		out, err := c.CallStruct("job.output", id)
+		out, err := CallAs[map[string]any](c, "job.output", id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +506,7 @@ func TestFederationPeerDiesAfterAccept(t *testing.T) {
 	c.SetSession(sess.ID)
 	var ids []string
 	for i := 0; i < 8; i++ {
-		id, err := c.CallString("job.submit", "sleep 0.4 && echo survived")
+		id, err := CallAs[string](c, "job.submit", "sleep 0.4 && echo survived")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -523,7 +523,7 @@ func TestFederationPeerDiesAfterAccept(t *testing.T) {
 	peer.Close()
 
 	for _, id := range ids {
-		st, err := c.CallStruct("job.wait", id, 30)
+		st, err := CallAs[map[string]any](c, "job.wait", id, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -601,7 +601,7 @@ func TestFederationStatsSectionMatchesGauges(t *testing.T) {
 	t.Cleanup(c.Close)
 	sess, _ := srv.NewSessionFor(adminDN)
 	c.SetSession(sess.ID)
-	sys, err := c.CallStruct("system.stats")
+	sys, err := CallAs[map[string]any](c, "system.stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +643,7 @@ func TestFederationArtifactPullBack(t *testing.T) {
 	// Park site0's two workers so the artifact job must forward.
 	blockers := make([]string, 2)
 	for i := range blockers {
-		id, err := c.CallString("job.submit", "sleep 3", 100, 0)
+		id, err := CallAs[string](c, "job.submit", "sleep 3", 100, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -657,7 +657,7 @@ func TestFederationArtifactPullBack(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	id, err := c.CallString("job.submit", "seq 120000") // ~810 KiB stdout
+	id, err := CallAs[string](c, "job.submit", "seq 120000") // ~810 KiB stdout
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +677,7 @@ func TestFederationArtifactPullBack(t *testing.T) {
 		t.Error("site1 reports no completed jobs")
 	}
 
-	out, err := c.CallStruct("job.output", id)
+	out, err := CallAs[map[string]any](c, "job.output", id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,7 +748,7 @@ func TestFederatedTraceAssembly(t *testing.T) {
 	const jobs = 10
 	ids := make([]string, 0, jobs)
 	for i := 0; i < jobs; i++ {
-		id, err := c.CallString("job.submit", "sleep 0.2 && echo traced", 0, 0)
+		id, err := CallAs[string](c, "job.submit", "sleep 0.2 && echo traced", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -801,7 +801,7 @@ func TestFederatedTraceAssembly(t *testing.T) {
 		t.Fatal(err)
 	}
 	ac.SetSession(asess.ID)
-	doc, err := ac.CallStruct("trace.get", traceID)
+	doc, err := CallAs[map[string]any](ac, "trace.get", traceID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,85 +219,41 @@ func (p Params) arg(i int) (any, error) {
 	return p[i], nil
 }
 
+// get reads parameter i as a T under rpc.As, the rule the client's
+// typed results follow too.
+func get[T any](p Params, i int) (T, error) {
+	v, err := p.arg(i)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	t, err := rpc.As[T](v)
+	if err == nil {
+		return t, nil
+	}
+	te := err.(*rpc.TypeError)
+	msg := fmt.Sprintf("parameter %d: want %s, got %T", i, te.Want, te.Got)
+	if te.Index >= 0 {
+		msg = fmt.Sprintf("parameter %d[%d]: want %s, got %T", i, te.Index, te.Want, te.Got)
+	}
+	return t, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: msg}
+}
+
 // String returns parameter i as a string.
-func (p Params) String(i int) (string, error) {
-	v, err := p.arg(i)
-	if err != nil {
-		return "", err
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("parameter %d: want string, got %T", i, v)}
-	}
-	return s, nil
-}
+func (p Params) String(i int) (string, error) { return get[string](p, i) }
 
-// Int returns parameter i as an int (accepting exact float64s, which
-// JSON-RPC clients may send).
-func (p Params) Int(i int) (int, error) {
-	v, err := p.arg(i)
-	if err != nil {
-		return 0, err
-	}
-	switch n := v.(type) {
-	case int:
-		return n, nil
-	case float64:
-		if n == float64(int(n)) {
-			return int(n), nil
-		}
-	}
-	return 0, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("parameter %d: want int, got %T", i, v)}
-}
+// Int returns parameter i as an int (accepting int64 and exact float64s,
+// which JSON-RPC clients may send).
+func (p Params) Int(i int) (int, error) { return get[int](p, i) }
 
-// Bool returns parameter i as a bool.
-func (p Params) Bool(i int) (bool, error) {
-	v, err := p.arg(i)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("parameter %d: want bool, got %T", i, v)}
-	}
-	return b, nil
-}
+// Bool returns parameter i as a bool (accepting an exact 0 or 1).
+func (p Params) Bool(i int) (bool, error) { return get[bool](p, i) }
 
 // Bytes returns parameter i as binary data (accepting strings).
-func (p Params) Bytes(i int) ([]byte, error) {
-	v, err := p.arg(i)
-	if err != nil {
-		return nil, err
-	}
-	switch b := v.(type) {
-	case []byte:
-		return b, nil
-	case string:
-		return []byte(b), nil
-	}
-	return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("parameter %d: want bytes, got %T", i, v)}
-}
+func (p Params) Bytes(i int) ([]byte, error) { return get[[]byte](p, i) }
 
 // StringSlice returns parameter i as a list of strings.
-func (p Params) StringSlice(i int) ([]string, error) {
-	v, err := p.arg(i)
-	if err != nil {
-		return nil, err
-	}
-	arr, ok := v.([]any)
-	if !ok {
-		return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("parameter %d: want array, got %T", i, v)}
-	}
-	out := make([]string, len(arr))
-	for j, e := range arr {
-		s, ok := e.(string)
-		if !ok {
-			return nil, &rpc.Fault{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("parameter %d[%d]: want string, got %T", i, j, e)}
-		}
-		out[j] = s
-	}
-	return out, nil
-}
+func (p Params) StringSlice(i int) ([]string, error) { return get[[]string](p, i) }
 
 // OptString returns parameter i as a string, or def if absent.
 func (p Params) OptString(i int, def string) (string, error) {

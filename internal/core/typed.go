@@ -12,11 +12,11 @@ import (
 // Func0 … Func4 derive the Handler that reads and checks the positional
 // parameters, and the system.method_signature entry, from them.
 //
-// Parameter types are string, int, bool, []byte (base64), []string
-// (array) and any, each optionally wrapped in Opt; results may also be
-// []any (array), map[string]any (struct) and time.Time
-// (dateTime.iso8601). Parameter faults come from the Params accessors,
-// so their codes and texts are those of a hand-written handler; surplus
+// Parameter and result types are string, int, bool, []byte (base64),
+// []string and []any (array), map[string]any (struct), time.Time
+// (dateTime.iso8601) and any; a parameter may be wrapped in Opt. Each
+// parameter is read under rpc.As, as the Params accessors read, so its
+// faults have the codes and texts of a hand-written handler; surplus
 // parameters are ignored.
 type Typed struct {
 	handler   Handler
@@ -69,37 +69,19 @@ func (Opt[T]) optGetter() (any, string) {
 	}), wt.name
 }
 
-// param picks T's Params accessor. It runs once, when the method is
-// declared, so a call pays one indirect call per parameter and nothing
-// else.
+// param picks T's accessor. It runs once, when the method is declared,
+// so a call pays one indirect call per parameter and nothing else.
 func param[T any]() (getter[T], wireType) {
-	var get any
-	var wt wireType
-	switch z := any(*new(T)).(type) {
-	case string:
-		get, wt.name = getter[string](Params.String), "string"
-	case int:
-		get, wt.name = getter[int](Params.Int), "int"
-	case bool:
-		get, wt.name = getter[bool](Params.Bool), "boolean"
-	case []byte:
-		get, wt.name = getter[[]byte](Params.Bytes), "base64"
-	case []string:
-		get, wt.name = getter[[]string](Params.StringSlice), "array"
-	case nil: // T is any
-		get, wt.name = getter[any](Params.arg), "any"
-	case optional:
-		get, wt.name = z.optGetter()
-		wt.opt = true
-	default:
-		panic(fmt.Sprintf("core: unsupported parameter type %T", z))
+	if o, ok := any(*new(T)).(optional); ok {
+		get, name := o.optGetter()
+		return get.(getter[T]), wireType{name, true}
 	}
-	return get.(getter[T]), wt
+	return get[T], wireType{name: wireName[T]()}
 }
 
-// resultName is result type R's signature entry.
-func resultName[R any]() string {
-	switch z := any(*new(R)).(type) {
+// wireName is type T's signature entry.
+func wireName[T any]() string {
+	switch z := any(*new(T)).(type) {
 	case string:
 		return "string"
 	case int:
@@ -114,16 +96,16 @@ func resultName[R any]() string {
 		return "struct"
 	case time.Time:
 		return "dateTime.iso8601"
-	case nil: // R is any
+	case nil: // T is any
 		return "any"
 	default:
-		panic(fmt.Sprintf("core: unsupported result type %T", z))
+		panic(fmt.Sprintf("core: unsupported type %T", z))
 	}
 }
 
 // signature builds the method's one signature entry.
 func signature[R any](params ...wireType) []string {
-	entry := []string{resultName[R]()}
+	entry := []string{wireName[R]()}
 	for i, wt := range params {
 		if i > 0 && params[i-1].opt && !wt.opt {
 			panic(fmt.Sprintf("core: required parameter %d follows an optional one", i))

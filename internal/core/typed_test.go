@@ -12,6 +12,7 @@ func TestTypedSignaturesAndFaults(t *testing.T) {
 	read := Func3(func(_ *Context, name string, off, n Opt[int]) (map[string]any, error) {
 		return map[string]any{"name": name, "off": off.Or(0), "n": n.Or(-1)}, nil
 	})
+	flag := Func1(func(_ *Context, b bool) (bool, error) { return b, nil })
 	for _, c := range []struct {
 		typed Typed
 		want  string
@@ -37,6 +38,11 @@ func TestTypedSignaturesAndFaults(t *testing.T) {
 		{read, Params{"f"}, "map[n:-1 name:f off:0]"},
 		{read, Params{"f", 2.0, 5}, "map[n:5 name:f off:2]"},
 		{read, Params{"f", 1, "x"}, "rpc fault -32602: parameter 2: want int, got string"},
+		{flag, Params{true}, "true"},
+		{flag, Params{1}, "true"},
+		{flag, Params{0.0}, "false"},
+		{flag, Params{2}, "rpc fault -32602: parameter 0: want bool, got int"},
+		{flag, Params{"true"}, "rpc fault -32602: parameter 0: want bool, got string"},
 	} {
 		v, err := c.typed.handler(nil, c.params)
 		got := fmt.Sprint(v)

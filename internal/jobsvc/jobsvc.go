@@ -1450,6 +1450,39 @@ func artifactList(arts []Artifact) []any {
 	return out
 }
 
+// ParseOutput decodes a job.output reply, the inverse of rpcOutput: the
+// inline heads, exit code, truncation flags and artifact references, and
+// the job's state. A member that is absent or of the wrong type reads as
+// its zero value.
+func ParseOutput(m map[string]any) (res ExecResult, state string) {
+	res = ExecResult{
+		Stdout:          field[string](m, "stdout"),
+		Stderr:          field[string](m, "stderr"),
+		ExitCode:        field[int](m, "exit_code"),
+		Truncated:       field[bool](m, "truncated"),
+		StdoutTruncated: field[bool](m, "stdout_truncated"),
+		StderrTruncated: field[bool](m, "stderr_truncated"),
+	}
+	for _, e := range field[[]any](m, "artifacts") {
+		if am, ok := e.(map[string]any); ok {
+			res.Artifacts = append(res.Artifacts, Artifact{
+				Name:    field[string](am, "name"),
+				Path:    field[string](am, "path"),
+				Size:    int64(field[int](am, "size")),
+				MD5:     field[string](am, "md5"),
+				Partial: field[bool](am, "partial"),
+			})
+		}
+	}
+	return res, field[string](m, "state")
+}
+
+// field reads member key of a decoded struct under rpc.As.
+func field[T any](m map[string]any, key string) T {
+	v, _ := rpc.As[T](m[key])
+	return v
+}
+
 // liveRemote returns the freshest view of j: for remote jobs with an
 // installed controller, a live snapshot from the executing peer; the
 // local shadow record otherwise (including when the peer is unreachable

@@ -526,9 +526,8 @@ func call[T any](s *Scheduler, url, token, trace, method string, params ...any) 
 		if err != nil {
 			return err
 		}
-		var ok bool
-		if out, ok = v.(T); !ok {
-			return fmt.Errorf("%s returned %T", method, v)
+		if out, err = rpc.As[T](v); err != nil {
+			return fmt.Errorf("%s result: %w", method, err)
 		}
 		return nil
 	})
@@ -859,8 +858,10 @@ func (s *Scheduler) pullBack(j *jobsvc.Job, state string) {
 		s.failJob(j, err)
 		return
 	}
-	res := execResult(out)
-	if arts, ok := out["artifacts"].([]any); ok && len(arts) > 0 && s.jobs.StagingEnabled() {
+	res, _ := jobsvc.ParseOutput(out)
+	arts := res.Artifacts
+	res.Artifacts = nil // they name the peer's namespace
+	if len(arts) > 0 && s.jobs.StagingEnabled() {
 		staged, pulled, err := s.pullArtifacts(j, arts)
 		if err != nil {
 			s.jobs.DiscardRemoteStage(j.ID)
@@ -886,58 +887,38 @@ func (s *Scheduler) pullBack(j *jobsvc.Job, state string) {
 	s.mu.Unlock()
 }
 
-// execResult decodes the inline outputs of a peer's job.output reply;
-// artifact references are left to the caller.
-func execResult(out map[string]any) jobsvc.ExecResult {
-	var res jobsvc.ExecResult
-	res.Stdout, _ = out["stdout"].(string)
-	res.Stderr, _ = out["stderr"].(string)
-	res.ExitCode, _ = rpc.CoerceInt(out["exit_code"])
-	res.Truncated, _ = out["truncated"].(bool)
-	res.StdoutTruncated, _ = out["stdout_truncated"].(bool)
-	res.StderrTruncated, _ = out["stderr_truncated"].(bool)
-	return res
-}
-
 // artifactChunk is the file.read chunk size used for artifact transfers.
 const artifactChunk = 1 << 20
 
 // pullArtifacts fetches every artifact referenced by a peer's job.output
 // and re-stages it locally, verifying digests. Returns the local
 // references and total bytes transferred.
-func (s *Scheduler) pullArtifacts(j *jobsvc.Job, arts []any) ([]jobsvc.Artifact, int64, error) {
+func (s *Scheduler) pullArtifacts(j *jobsvc.Job, arts []jobsvc.Artifact) ([]jobsvc.Artifact, int64, error) {
 	out := make([]jobsvc.Artifact, 0, len(arts))
 	var pulled int64
-	for _, e := range arts {
-		m, _ := e.(map[string]any)
-		if m == nil {
-			continue
-		}
-		name, _ := m["name"].(string)
-		path, _ := m["path"].(string)
-		wantMD5, _ := m["md5"].(string)
-		if name == "" || path == "" {
+	for _, ra := range arts {
+		if ra.Name == "" || ra.Path == "" {
 			continue
 		}
 		// An artifact bigger than the local spool cap could never verify
 		// here — transferring it would truncate into a guaranteed digest
 		// mismatch and a futile retry loop. Skip it explicitly; the
 		// record keeps its truncated heads.
-		if sz, ok := rpc.CoerceInt(m["size"]); ok && int64(sz) > s.jobs.SpoolLimit() {
-			s.logger.Printf("metasched: skipping artifact %q of %s: %d bytes exceeds the local spool limit %d", name, j.ID, sz, s.jobs.SpoolLimit())
+		if ra.Size > s.jobs.SpoolLimit() {
+			s.logger.Printf("metasched: skipping artifact %q of %s: %d bytes exceeds the local spool limit %d", ra.Name, j.ID, ra.Size, s.jobs.SpoolLimit())
 			continue
 		}
-		r := &remoteFileReader{s: s, j: j, path: path}
-		a, err := s.jobs.StageRemoteArtifact(j.ID, name, r)
+		r := &remoteFileReader{s: s, j: j, path: ra.Path}
+		a, err := s.jobs.StageRemoteArtifact(j.ID, ra.Name, r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("stage %q: %w", name, err)
+			return nil, 0, fmt.Errorf("stage %q: %w", ra.Name, err)
 		}
-		if wantMD5 != "" && a.MD5 != wantMD5 {
-			return nil, 0, fmt.Errorf("artifact %q digest mismatch (got %s, peer reported %s)", name, a.MD5, wantMD5)
+		if ra.MD5 != "" && a.MD5 != ra.MD5 {
+			return nil, 0, fmt.Errorf("artifact %q digest mismatch (got %s, peer reported %s)", ra.Name, a.MD5, ra.MD5)
 		}
 		// A stream the peer's own spool cap cut short stays marked: the
 		// re-staged copy is byte-identical but still not the full stream.
-		a.Partial, _ = m["partial"].(bool)
+		a.Partial = ra.Partial
 		out = append(out, a)
 		pulled += a.Size
 	}
@@ -970,7 +951,7 @@ func (r *remoteFileReader) Read(p []byte) (int, error) {
 			r.err = err
 			return 0, err
 		}
-		data, _ := rpc.CoerceBytes(m["data"])
+		data, _ := rpc.As[[]byte](m["data"])
 		r.eof, _ = m["eof"].(bool)
 		r.offset += len(data)
 		r.buf = data
@@ -1348,7 +1329,7 @@ func (s *Scheduler) Refresh(j *jobsvc.Job) (*jobsvc.Job, error) {
 			// server's clients cannot fetch through. The local record
 			// gains fetchable references when the watch loop pulls the
 			// result back and re-stages the artifacts.
-			res := execResult(out)
+			res, _ := jobsvc.ParseOutput(out)
 			live.Stdout, live.Stderr, live.ExitCode = res.Stdout, res.Stderr, res.ExitCode
 			live.Truncated, live.StdoutTruncated, live.StderrTruncated = res.Truncated, res.StdoutTruncated, res.StderrTruncated
 			live.Artifacts = nil

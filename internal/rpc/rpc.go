@@ -190,35 +190,113 @@ func Normalize(v any) (any, error) {
 	}
 }
 
-// CoerceInt accepts the integer encodings the codecs may produce for one
-// logical value: int (XML-RPC, SOAP, integral JSON numbers), int64, and
-// exact float64 (JSON cannot distinguish 3.0 from 3, so JSON-RPC peers
-// may deliver integral doubles).
-func CoerceInt(v any) (int, bool) {
-	switch n := v.(type) {
-	case int:
-		return n, true
-	case int64:
-		return int(n), true
-	case float64:
-		if n == float64(int(n)) {
-			return int(n), true
+// As is the one rule that turns a decoded value into a Go type T. The
+// server's typed parameters and the client's typed results both read
+// through it, so a value means the same thing on either side of the wire:
+//
+//	T               accepted decoded values
+//	int             int, int64, integral float64 (JSON cannot tell 3.0 from 3)
+//	bool            bool, exact 0 or 1 as int or float64
+//	[]byte          []byte (base64), string
+//	[]string        []any whose every element is a string
+//	any             any value, nil included
+//	anything else   exactly T (string, []any, map[string]any, time.Time)
+//
+// A refused value comes back as a *TypeError.
+func As[T any](v any) (T, error) {
+	var out T
+	ok := true
+	switch p := any(&out).(type) {
+	case *int:
+		switch n := v.(type) {
+		case int:
+			*p = n
+		case int64:
+			*p = int(n)
+		case float64:
+			*p, ok = int(n), n == float64(int(n))
+		default:
+			ok = false
 		}
+	case *bool:
+		switch b := v.(type) {
+		case bool:
+			*p = b
+		case int:
+			*p, ok = b == 1, b == 0 || b == 1
+		case float64:
+			*p, ok = b == 1, b == 0 || b == 1
+		default:
+			ok = false
+		}
+	case *[]byte:
+		switch b := v.(type) {
+		case []byte:
+			*p = b
+		case string:
+			*p = []byte(b)
+		default:
+			ok = false
+		}
+	case *[]string:
+		arr, isArr := v.([]any)
+		if !isArr {
+			return out, &TypeError{Want: "array", Got: v, Index: -1}
+		}
+		strs := make([]string, len(arr))
+		for i, e := range arr {
+			s, isStr := e.(string)
+			if !isStr {
+				return out, &TypeError{Want: "string", Got: e, Index: i}
+			}
+			strs[i] = s
+		}
+		*p = strs
+	case *any:
+		*p = v
+	default:
+		out, ok = v.(T)
 	}
-	return 0, false
+	if !ok {
+		var zero T
+		return zero, &TypeError{Want: wantName(zero), Got: v, Index: -1}
+	}
+	return out, nil
 }
 
-// CoerceBytes accepts a binary payload however the codec delivered it:
-// []byte from the base64-aware decoders, string from codecs (or peers)
-// that surface binary as text.
-func CoerceBytes(v any) ([]byte, bool) {
-	switch b := v.(type) {
-	case []byte:
-		return b, true
-	case string:
-		return []byte(b), true
+// CoerceInt is As[int] reporting success as a bool.
+func CoerceInt(v any) (int, bool) {
+	n, err := As[int](v)
+	return n, err == nil
+}
+
+// TypeError is a value As refused: the value itself when Index is -1,
+// or element Index of an array.
+type TypeError struct {
+	Want  string // "string", "int", "bool", "bytes", "array", "struct", ...
+	Got   any
+	Index int
+}
+
+func (e *TypeError) Error() string {
+	if e.Index >= 0 {
+		return fmt.Sprintf("element %d: want %s, got %T", e.Index, e.Want, e.Got)
 	}
-	return nil, false
+	return fmt.Sprintf("want %s, got %T", e.Want, e.Got)
+}
+
+// wantName names a Go type the way parameter faults and client errors
+// have always spelled it.
+func wantName(z any) string {
+	switch z.(type) {
+	case []byte:
+		return "bytes"
+	case []any, []string:
+		return "array"
+	case map[string]any:
+		return "struct"
+	}
+	return fmt.Sprintf("%T", z)
 }
 
 // NormalizeParams normalizes every parameter in place-compatible fashion.

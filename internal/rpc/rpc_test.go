@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -144,5 +145,66 @@ func TestFaultError(t *testing.T) {
 	f := &Fault{Code: CodeAccessDenied, Message: "no"}
 	if f.Error() == "" {
 		t.Error("Fault.Error should produce a message")
+	}
+}
+
+// TestAs pins the one coercion rule: the encodings each Go type takes,
+// and the text of a refusal, which names the failing array element.
+func TestAs(t *testing.T) {
+	as := map[string]func(any) (any, error){
+		"string":  func(v any) (any, error) { return As[string](v) },
+		"int":     func(v any) (any, error) { return As[int](v) },
+		"bool":    func(v any) (any, error) { return As[bool](v) },
+		"bytes":   func(v any) (any, error) { return As[[]byte](v) },
+		"strings": func(v any) (any, error) { return As[[]string](v) },
+		"array":   func(v any) (any, error) { return As[[]any](v) },
+		"struct":  func(v any) (any, error) { return As[map[string]any](v) },
+		"time":    func(v any) (any, error) { return As[time.Time](v) },
+		"any":     func(v any) (any, error) { return As[any](v) },
+		"float64": func(v any) (any, error) { return As[float64](v) },
+	}
+	when := time.Date(2005, 6, 14, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		as   string
+		in   any
+		want any // the converted value, or the refusal's text
+	}{
+		{"string", "s", "s"},
+		{"string", 1, "want string, got int"},
+		{"int", 7, 7},
+		{"int", int64(1 << 40), 1 << 40},
+		{"int", -3.0, -3},
+		{"int", 3.5, "want int, got float64"},
+		{"int", true, "want int, got bool"},
+		{"bool", false, false},
+		{"bool", 1, true},
+		{"bool", 0.0, false},
+		{"bool", 2, "want bool, got int"},
+		{"bool", 0.5, "want bool, got float64"},
+		{"bytes", []byte("b"), []byte("b")},
+		{"bytes", "s", []byte("s")},
+		{"bytes", 1, "want bytes, got int"},
+		{"strings", []any{"a", "b"}, []string{"a", "b"}},
+		{"strings", []any{}, []string{}},
+		{"strings", []any{"a", 2}, "element 1: want string, got int"},
+		{"strings", "a", "want array, got string"},
+		{"array", []any{1}, []any{1}},
+		{"array", []string{"a"}, "want array, got []string"},
+		{"struct", map[string]any{"k": 1}, map[string]any{"k": 1}},
+		{"struct", []any{}, "want struct, got []interface {}"},
+		{"time", when, when},
+		{"time", "2005-06-14", "want time.Time, got string"},
+		{"any", nil, nil},
+		{"any", 1, 1},
+		{"float64", 1.5, 1.5},
+		{"float64", 1, "want float64, got int"},
+	} {
+		got, err := as[c.as](c.in)
+		if err != nil {
+			got = err.Error()
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("As[%s](%#v) = %#v, want %#v", c.as, c.in, got, c.want)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func pollStatus(t *testing.T, c *Client, id string) map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st, err := c.CallStruct("job.status", id)
+		st, err := CallAs[map[string]any](c, "job.status", id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestJobRoundTripOverRPC(t *testing.T) {
 	c.SetSession(sess.ID)
 
 	// Submit a sandbox payload that writes a file and reads it back.
-	id, err := c.CallString("job.submit", "echo analysis-result > out.txt && cat out.txt")
+	id, err := CallAs[string](c, "job.submit", "echo analysis-result > out.txt && cat out.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestJobRoundTripOverRPC(t *testing.T) {
 		t.Errorf("local_user = %v, want joe (user-map resolution)", st["local_user"])
 	}
 
-	out, err := c.CallStruct("job.output", id)
+	out, err := CallAs[map[string]any](c, "job.output", id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestJobRoundTripOverRPC(t *testing.T) {
 	}
 
 	// Completion notification in the owner's message queue.
-	msgs, err := c.CallList("message.poll")
+	msgs, err := CallAs[[]any](c, "message.poll")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestJobRoundTripOverRPC(t *testing.T) {
 	}
 
 	// job.list shows the caller's job.
-	list, err := c.CallList("job.list")
+	list, err := CallAs[[]any](c, "job.list")
 	if err != nil || len(list) != 1 {
 		t.Fatalf("list = %v, %v", list, err)
 	}
@@ -141,14 +141,14 @@ func TestJobRoundTripOverRPC(t *testing.T) {
 	srv2, c2 := startJobServer(t, jobConfig(t, dataDir))
 	_ = srv2
 	c2.SetSession(sess.ID)
-	st2, err := c2.CallStruct("job.status", id)
+	st2, err := CallAs[map[string]any](c2, "job.status", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2["state"] != "done" {
 		t.Errorf("after restart state = %v, want done", st2["state"])
 	}
-	out2, err := c2.CallStruct("job.output", id)
+	out2, err := CallAs[map[string]any](c2, "job.output", id)
 	if err != nil || out2["stdout"] != "analysis-result\n" {
 		t.Errorf("after restart output = %v, %v", out2, err)
 	}
@@ -159,7 +159,7 @@ func TestJobOwnerOnlyAccess(t *testing.T) {
 	srv, c := startJobServer(t, cfg)
 	sess, _ := srv.NewSessionFor(userDN)
 	c.SetSession(sess.ID)
-	id, err := c.CallString("job.submit", "echo private")
+	id, err := CallAs[string](c, "job.submit", "echo private")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +174,14 @@ func TestJobOwnerOnlyAccess(t *testing.T) {
 	defer stranger.Close()
 	ssess, _ := srv.NewSessionFor(strangerDN)
 	stranger.SetSession(ssess.ID)
-	if _, err := stranger.CallStruct("job.status", id); err == nil {
+	if _, err := CallAs[map[string]any](stranger, "job.status", id); err == nil {
 		t.Error("stranger must not read another owner's job")
 	} else if f, ok := err.(*rpc.Fault); !ok || f.Code != rpc.CodeAccessDenied {
 		t.Errorf("err = %v, want access-denied fault", err)
 	}
-	if _, err := stranger.CallList("job.list"); err != nil {
+	if _, err := CallAs[[]any](stranger, "job.list"); err != nil {
 		t.Fatal(err)
-	} else if l, _ := stranger.CallList("job.list"); len(l) != 0 {
+	} else if l, _ := CallAs[[]any](stranger, "job.list"); len(l) != 0 {
 		t.Errorf("stranger sees %d jobs, want 0", len(l))
 	}
 
@@ -191,7 +191,7 @@ func TestJobOwnerOnlyAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer anon.Close()
-	if _, err := anon.CallString("job.submit", "echo nope"); err == nil {
+	if _, err := CallAs[string](anon, "job.submit", "echo nope"); err == nil {
 		t.Error("anonymous submit must fail")
 	}
 
@@ -203,11 +203,11 @@ func TestJobOwnerOnlyAccess(t *testing.T) {
 	defer admin.Close()
 	asess, _ := srv.NewSessionFor(adminDN)
 	admin.SetSession(asess.ID)
-	st, err := admin.CallStruct("job.status", id)
+	st, err := CallAs[map[string]any](admin, "job.status", id)
 	if err != nil || st["owner"] != userDN.String() {
 		t.Errorf("admin status = %v, %v", st, err)
 	}
-	if l, err := admin.CallList("job.list"); err != nil || len(l) != 1 {
+	if l, err := CallAs[[]any](admin, "job.list"); err != nil || len(l) != 1 {
 		t.Errorf("admin list = %v, %v", l, err)
 	}
 }
@@ -225,14 +225,14 @@ func TestJobCancelAndStatsOverRPC(t *testing.T) {
 	// is overwhelmingly likely still queued.
 	var ids []string
 	for i := 0; i < 20; i++ {
-		id, err := c.CallString("job.submit", "echo burst")
+		id, err := CallAs[string](c, "job.submit", "echo burst")
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
 	last := ids[len(ids)-1]
-	if _, err := c.CallBool("job.cancel", last); err != nil {
+	if _, err := CallAs[bool](c, "job.cancel", last); err != nil {
 		t.Fatal(err)
 	}
 	st := pollStatus(t, c, last)
@@ -242,7 +242,7 @@ func TestJobCancelAndStatsOverRPC(t *testing.T) {
 	for _, id := range ids[:len(ids)-1] {
 		pollStatus(t, c, id)
 	}
-	stats, err := c.CallStruct("job.stats")
+	stats, err := CallAs[map[string]any](c, "job.stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +262,11 @@ func TestJobStatsSectionMatchesJobStats(t *testing.T) {
 	srv, c := startJobServer(t, jobConfig(t, t.TempDir()))
 	sess, _ := srv.NewSessionFor(adminDN)
 	c.SetSession(sess.ID)
-	jobStats, err := c.CallStruct("job.stats")
+	jobStats, err := CallAs[map[string]any](c, "job.stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := c.CallStruct("system.stats")
+	sys, err := CallAs[map[string]any](c, "system.stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestJobRecoveryRequeuesInterrupted(t *testing.T) {
 	srv, c := startJobServer(t, cfg)
 	sess, _ := srv.NewSessionFor(userDN)
 	c.SetSession(sess.ID)
-	id, err := c.CallString("job.submit", "echo first-life")
+	id, err := CallAs[string](c, "job.submit", "echo first-life")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestJobRecoveryRequeuesInterrupted(t *testing.T) {
 	if st["state"] != "done" {
 		t.Fatalf("recovered job = %v", st)
 	}
-	out, err := c2.CallStruct("job.output", id)
+	out, err := CallAs[map[string]any](c2, "job.output", id)
 	if err != nil || out["stdout"] != "first-life\n" {
 		t.Errorf("recovered output = %v, %v", out, err)
 	}
@@ -356,7 +356,7 @@ func TestJobArtifactStagingEndToEnd(t *testing.T) {
 	c.SetSession(sess.ID)
 
 	// ~1.4 MiB of stdout: far past the 64 KiB inline limit.
-	id, err := c.CallString("job.submit", "seq 200000")
+	id, err := CallAs[string](c, "job.submit", "seq 200000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestJobArtifactStagingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := c.CallStruct("job.output", id)
+	out, err := CallAs[map[string]any](c, "job.output", id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,10 +445,10 @@ func TestJobArtifactStagingEndToEnd(t *testing.T) {
 	}
 
 	// job.delete clears the record and the artifact tree.
-	if ok, err := c.CallBool("job.delete", id); err != nil || !ok {
+	if ok, err := CallAs[bool](c, "job.delete", id); err != nil || !ok {
 		t.Fatalf("job.delete = %v, %v", ok, err)
 	}
-	if _, err := c.CallStruct("job.status", id); err == nil {
+	if _, err := CallAs[map[string]any](c, "job.status", id); err == nil {
 		t.Error("record survived job.delete")
 	}
 	if _, _, err := c.FileReadChunk(path, 0, 64); err == nil {
@@ -464,7 +464,7 @@ func TestJobCollectsSandboxArtifacts(t *testing.T) {
 	sess, _ := srv.NewSessionFor(userDN)
 	c.SetSession(sess.ID)
 
-	id, err := c.CallString("job.submit",
+	id, err := CallAs[string](c, "job.submit",
 		"mkdir results && seq 50000 > results/hist.dat && echo summary-line > results/summary.txt",
 		0, 0, []any{"results/*.dat", "results/*.txt"})
 	if err != nil {

@@ -101,7 +101,7 @@ func TestMethodTableUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	names, err := c.CallStringList("system.list_methods")
+	names, err := CallAs[[]string](c, "system.list_methods")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestMethodTableUnchanged(t *testing.T) {
 		if i >= len(methodTable) || methodTable[i].name != name {
 			t.Fatalf("method %d is %q, table disagrees", i, name)
 		}
-		sig, err := c.CallStringList("system.method_signature", name)
+		sig, err := CallAs[[]string](c, "system.method_signature", name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		help, err := c.CallString("system.method_help", name)
+		help, err := CallAs[string](c, "system.method_help", name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,13 +61,13 @@ func TestFederatedJobKeepsTraceAcrossServers(t *testing.T) {
 
 	// Park the front's two workers so the traced job must execute remotely.
 	for i := 0; i < 2; i++ {
-		if _, err := c.JobSubmit("sleep 3", 100, 0); err != nil {
+		if _, err := CallAs[string](c, "job.submit", "sleep 3", 100, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	c.SetTrace(trace)
-	id, err := c.JobSubmit("echo traced", 0, 0)
+	id, err := CallAs[string](c, "job.submit", "echo traced", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.CallString("system.ping"); err != nil {
+	if _, err := CallAs[string](c, "system.ping"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,7 +189,7 @@ func TestPublishTelemetryReachesStation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.CallString("system.ping"); err != nil {
+	if _, err := CallAs[string](c, "system.ping"); err != nil {
 		t.Fatal(err)
 	}
 
