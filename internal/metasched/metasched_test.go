@@ -162,8 +162,14 @@ func newHarnessJobs(t *testing.T, cfg Config, jcfg jobsvc.Config, dialErr map[st
 		gate:  make(chan struct{}, 1024),
 		dials: map[string]int{},
 	}
+	// done releases the gated executor when the test ends, so that a test
+	// that fails before it feeds h.gate does not hang in h.jobs.Stop.
+	done := make(chan struct{})
 	exec := func(owner pki.DN, command string, stdout, stderr io.Writer) (jobsvc.ExecStatus, error) {
-		<-h.gate
+		select {
+		case <-h.gate:
+		case <-done:
+		}
 		h.mu.Lock()
 		h.ranHere = append(h.ranHere, command)
 		h.mu.Unlock()
@@ -175,6 +181,7 @@ func newHarnessJobs(t *testing.T, cfg Config, jcfg jobsvc.Config, dialErr map[st
 		t.Fatal(err)
 	}
 	t.Cleanup(h.jobs.Stop)
+	t.Cleanup(func() { close(done) }) // runs before h.jobs.Stop
 	dial := func(url string) (Conn, error) {
 		h.mu.Lock()
 		h.dials[url]++
