@@ -19,6 +19,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -39,6 +40,10 @@ const wsGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 // MaxMessage bounds a reassembled message; larger peers are cut off.
 const MaxMessage = 8 << 20
+
+// frameChunk is the most a frame's payload buffer grows by before the
+// bytes to fill it have arrived.
+const frameChunk = 64 << 10
 
 // ErrClosed is returned by ReadMessage after a close frame has been
 // received or the connection has been closed locally.
@@ -373,9 +378,16 @@ func (c *Conn) readFrame() (opcode byte, fin bool, payload []byte, err error) {
 			return 0, false, nil, err
 		}
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return 0, false, nil, err
+	// Allocate as the payload arrives, not as the header claims: a peer
+	// that announces MaxMessage and then stalls holds one chunk.
+	payload = make([]byte, 0, min(length, frameChunk))
+	for uint64(len(payload)) < length {
+		n := int(min(length-uint64(len(payload)), frameChunk))
+		payload = slices.Grow(payload, n)
+		if _, err := io.ReadFull(c.br, payload[len(payload):len(payload)+n]); err != nil {
+			return 0, false, nil, err
+		}
+		payload = payload[:len(payload)+n]
 	}
 	if masked {
 		for i := range payload {
