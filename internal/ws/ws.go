@@ -19,7 +19,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -310,11 +309,11 @@ func (c *Conn) ReadMessage() (opcode int, payload []byte, err error) {
 			if msgOp == 0 {
 				return 0, nil, errors.New("ws: continuation without initial frame")
 			}
-			msg = append(msg, data...)
-			if len(msg) > MaxMessage {
+			if len(msg)+len(data) > MaxMessage {
 				c.Close()
 				return 0, nil, errors.New("ws: message too large")
 			}
+			msg = append(msg, data...)
 			if fin {
 				return msgOp, msg, nil
 			}
@@ -326,7 +325,7 @@ func (c *Conn) ReadMessage() (opcode int, payload []byte, err error) {
 				return int(op), data, nil
 			}
 			msgOp = int(op)
-			msg = append(msg, data...)
+			msg = data
 		default:
 			return 0, nil, fmt.Errorf("ws: reserved opcode %#x", op)
 		}
@@ -379,15 +378,20 @@ func (c *Conn) readFrame() (opcode byte, fin bool, payload []byte, err error) {
 		}
 	}
 	// Allocate as the payload arrives, not as the header claims: a peer
-	// that announces MaxMessage and then stalls holds one chunk.
+	// that announces MaxMessage and then stalls holds one chunk. The
+	// buffer doubles as it fills, so a payload costs at most twice its
+	// size in allocations.
 	payload = make([]byte, 0, min(length, frameChunk))
-	for uint64(len(payload)) < length {
-		n := int(min(length-uint64(len(payload)), frameChunk))
-		payload = slices.Grow(payload, n)
-		if _, err := io.ReadFull(c.br, payload[len(payload):len(payload)+n]); err != nil {
+	for {
+		n, err := io.ReadFull(c.br, payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+n]
+		if err != nil {
 			return 0, false, nil, err
 		}
-		payload = payload[:len(payload)+n]
+		if uint64(len(payload)) == length {
+			break
+		}
+		payload = append(make([]byte, 0, min(length, 2*uint64(cap(payload)))), payload...)
 	}
 	if masked {
 		for i := range payload {
