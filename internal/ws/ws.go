@@ -40,8 +40,8 @@ const wsGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 // MaxMessage bounds a reassembled message; larger peers are cut off.
 const MaxMessage = 8 << 20
 
-// frameChunk is the most a frame's payload buffer grows by before the
-// bytes to fill it have arrived.
+// frameChunk is the most a frame's payload buffer holds before any of
+// the payload has arrived.
 const frameChunk = 64 << 10
 
 // ErrClosed is returned by ReadMessage after a close frame has been
