@@ -23,7 +23,9 @@
 package clarens
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -468,8 +470,8 @@ func NewServer(cfg Config) (*Server, error) {
 			return fail(fmt.Errorf("clarens: job service requires ShellUserMap (payloads run in the shell sandbox)"))
 		}
 		shell := s.Shell
-		exec := func(owner pki.DN, command string, stdout, stderr io.Writer) (jobsvc.ExecStatus, error) {
-			code, user, err := shell.ExecStreamAs(owner, command, stdout, stderr)
+		exec := func(ctx context.Context, owner pki.DN, command string, stdout, stderr io.Writer) (jobsvc.ExecStatus, error) {
+			code, user, err := shell.ExecStreamAs(ctx, owner, command, stdout, stderr)
 			return jobsvc.ExecStatus{ExitCode: code, LocalUser: user}, err
 		}
 		var notify jobsvc.Notifier
@@ -512,7 +514,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.Jobs = js
 		if err := cs.Register(js); err != nil {
-			js.Stop()
 			return fail(err)
 		}
 		// Any authenticated principal may reach the job module; ownership
@@ -777,43 +778,23 @@ func (s *Server) GrantMethod(path string, dns []string, groups []string) error {
 // fail over to another peer), let in-flight calls finish, stop the
 // federation loop, drain the job workers and checkpoint the queue
 // durably, notify /ws subscribers with a "closing" frame, then compact
-// and close the database. Work that outlives ctx is abandoned to the
-// recovery path (running jobs re-queue on next start); the first error
-// encountered is returned after shutdown completes.
+// and close the database. Once ctx ends, job attempts still running are
+// stopped, and recovery re-queues them on the next start. The first
+// teardown failure is returned, else ctx.Err() if work was cut short.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// 1. Quiesce the RPC surface while everything below still runs, so
 	// in-flight calls (job.wait, message.wait, ...) complete normally.
-	err := s.core.Drain(ctx)
-	// 2. Stop the subsystems; the job workers drain and make the queue
-	// checkpoint durable.
-	if serr := s.stopSubsystems(func() error { return s.Jobs.Drain(ctx) }); err == nil {
-		err = serr
-	}
-	// 3. Broadcast "closing" on /ws, stop the listener, compact + close.
-	if cerr := s.core.Shutdown(ctx); cerr != nil && err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Close shuts everything down.
-func (s *Server) Close() error {
-	s.stopSubsystems(func() error { s.Jobs.Stop(); return nil })
-	return s.core.Close()
-}
-
-// stopSubsystems stops everything above the core: the telemetry
-// republisher, the forwarding loop before the job workers so no new
-// delegations race their stop, the workers with stopJobs, then
-// discovery and the MonALISA plumbing. It returns stopJobs' error.
-func (s *Server) stopSubsystems(stopJobs func() error) error {
+	drained := s.core.Drain(ctx)
+	// 2. Stop everything above the core: the telemetry republisher, the
+	// forwarding loop before the job workers so no new delegations race
+	// their stop, the workers, then discovery and the MonALISA plumbing.
 	s.stopTelemetry()
 	if s.Federation != nil {
 		s.Federation.Stop()
 	}
-	var err error
+	var jobs error
 	if s.Jobs != nil {
-		err = stopJobs()
+		jobs = s.Jobs.Drain(ctx)
 	}
 	if s.Discovery != nil {
 		s.Discovery.StopPeriodic()
@@ -827,5 +808,18 @@ func (s *Server) stopSubsystems(stopJobs func() error) error {
 	if s.station != nil {
 		s.station.Close()
 	}
-	return err
+	// 3. Broadcast "closing" on /ws, stop the listener, compact + close.
+	var cut error
+	for _, err := range []error{drained, jobs, s.core.Shutdown(ctx)} {
+		if err != nil && !errors.Is(err, ctx.Err()) {
+			return err
+		}
+		cut = cmp.Or(cut, err)
+	}
+	return cut
+}
+
+// Close is Shutdown with no time left.
+func (s *Server) Close() error {
+	return core.HardStop(s.Shutdown)
 }

@@ -140,10 +140,8 @@ type Server struct {
 	// populated by every dispatch, queried by the trace service
 	// and /debug/traces.
 	spans *telemetry.SpanStore
-	// runtimeSampler feeds the clarens.runtime.* gauges; stopped once on
-	// shutdown.
-	runtimeSampler  *telemetry.RuntimeSampler
-	stopSamplerOnce sync.Once
+	// runtimeSampler feeds the clarens.runtime.* gauges.
+	runtimeSampler *telemetry.RuntimeSampler
 
 	// health checks and extra system.stats sections contributed by the
 	// assembled services (job queue depths, federation peer health, ...).
@@ -764,18 +762,20 @@ func (s *Server) URL() string {
 // RPCPath returns the POST endpoint path.
 func (s *Server) RPCPath() string { return rpcPath }
 
-// Close shuts the server down and closes the database. Live WebSocket
-// sessions are told the server is going away (a "closing" frame) before
-// the bus and listener are torn down.
+// Close is Shutdown with no time left.
 func (s *Server) Close() error {
-	s.stopSamplerOnce.Do(s.runtimeSampler.Stop)
-	s.tickets.Stop()
-	s.closeWS()
-	s.events.Close()
-	if s.httpSrv != nil {
-		s.httpSrv.Close()
+	return HardStop(s.Shutdown)
+}
+
+// HardStop runs shutdown under an already-ended context. It reports
+// teardown failures, not the work it cut short.
+func HardStop(shutdown func(context.Context) error) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := shutdown(ctx); !errors.Is(err, context.Canceled) {
+		return err
 	}
-	return s.store.Close()
+	return nil
 }
 
 // Draining reports whether the server is refusing new RPCs ahead of
@@ -804,12 +804,12 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Shutdown performs a graceful stop: reject new RPCs (retryable fault),
 // let in-flight calls finish within ctx, tell every /ws client the
-// server is closing, stop the listener, compact the database (so the
-// next open replays no WAL), and close it. The hard-stop Close remains
-// for abrupt teardown.
+// server is closing, stop the listener, compact the database while ctx
+// lasts (so the next open replays no WAL), and close it. A failed close
+// is returned, else ctx.Err() if in-flight calls outlived ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
 	drainErr := s.Drain(ctx)
-	s.stopSamplerOnce.Do(s.runtimeSampler.Stop)
+	s.runtimeSampler.Stop()
 	s.tickets.Stop()
 	// WS connections are hijacked from the http.Server, so they are
 	// notified explicitly; the pubsub bus close unblocks their readers.
@@ -820,8 +820,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.httpSrv.Close()
 		}
 	}
-	if err := s.store.Compact(); err != nil && !errors.Is(err, db.ErrClosed) {
-		s.logger.Printf("core: compact on shutdown: %v", err)
+	if ctx.Err() == nil {
+		if err := s.store.Compact(); err != nil && !errors.Is(err, db.ErrClosed) {
+			s.logger.Printf("core: compact on shutdown: %v", err)
+		}
 	}
 	if err := s.store.Close(); err != nil {
 		return err

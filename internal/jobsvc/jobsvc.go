@@ -26,6 +26,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"clarens/internal/core"
+	"clarens/internal/db"
 	"clarens/internal/pki"
 	"clarens/internal/pubsub"
 	"clarens/internal/rpc"
@@ -97,8 +99,8 @@ type Job struct {
 	ExitCode  int      `json:"exit_code"`
 	Error     string   `json:"error,omitempty"`
 	LocalUser string   `json:"local_user,omitempty"`
-	// Cancel marks a cancellation request observed while running; the
-	// worker honors it when the in-flight attempt returns.
+	// Cancel records a cancellation request that recovery and a remote
+	// job's fallback honor; a running attempt is stopped at once.
 	Cancel bool `json:"cancel,omitempty"`
 
 	// Remote execution binding (federation). Peer names the executing
@@ -148,8 +150,8 @@ type ExecResult struct {
 // scheduler spools them to per-job artifact files with byte caps, so an
 // attempt's output never accumulates in memory. A returned error means
 // the attempt could not run at all (as opposed to running with a nonzero
-// exit code); both count against the retry budget.
-type Executor func(owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error)
+// exit code); both count against the retry budget. It stops when ctx ends.
+type Executor func(ctx context.Context, owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error)
 
 // Notifier delivers terminal-state notifications to job owners
 // (implemented by messaging.Service).
@@ -321,9 +323,14 @@ type Service struct {
 	// trace ID and, where one was measured, the transition's duration.
 	events *slog.Logger
 
-	started time.Time
-	wg      sync.WaitGroup
-	stopCh  chan struct{}
+	// ctx parents every attempt's context; attempts holds each running
+	// attempt's cancel func by job ID, under mu.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	attempts map[string]context.CancelFunc
+	started  time.Time
+	wg       sync.WaitGroup
+	stopCh   chan struct{}
 }
 
 // New builds the scheduler, recovers the durable job table from the
@@ -343,6 +350,7 @@ func New(srv *core.Server, cfg Config, exec Executor, notify Notifier) (*Service
 		ownerRunning: make(map[string]int),
 		ownerQueued:  make(map[string]int),
 		count:        make(map[string]int),
+		attempts:     make(map[string]context.CancelFunc),
 		events:       srv.RequestLog(),
 		started:      time.Now(),
 		stopCh:       make(chan struct{}),
@@ -372,6 +380,7 @@ func New(srv *core.Server, cfg Config, exec Executor, notify Notifier) (*Service
 		reg.RegisterGauge("clarens.job."+g.name, g.help, func() float64 { return g.value(s.Stats()) })
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -531,53 +540,35 @@ func (s *Service) recover() error {
 	})
 }
 
-// Stop drains the worker pool: workers finish in-flight attempts and exit.
-// Queued jobs stay persisted for the next start.
-func (s *Service) Stop() {
-	if s.halt() {
-		s.wg.Wait()
-	}
-}
-
-// halt tells the workers to exit after their current attempt. It
-// reports whether this call did so, rather than an earlier Stop or
-// Drain.
-func (s *Service) halt() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return false
-	}
-	s.stopped = true
-	close(s.stopCh)
-	s.cond.Broadcast()
-	return true
-}
-
-// Drain is Stop bounded by a context: workers are told to exit after
-// their current attempt, and Drain waits up to ctx for them. On a clean
-// finish the queue checkpoint is made durable with a WAL fsync, so a
-// restart resumes from exactly this state. If attempts outlive ctx they
-// keep running (their jobs are already persisted as running and will be
-// re-queued by recovery on the next start); ctx.Err() is returned so
-// the caller knows the drain was cut short.
+// Drain stops the worker pool: workers exit after their current attempt,
+// and Drain waits for them until ctx ends, then stops the attempts still
+// running. Those persist nothing, so recovery re-queues their jobs on the
+// next start. A WAL fsync then makes the queue durable. A failed fsync
+// is returned, else ctx.Err() if Drain cut an attempt short.
 func (s *Service) Drain(ctx context.Context) error {
-	s.halt()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
+	s.mu.Lock()
+	if !s.stopped {
+		s.stopped = true
+		close(s.stopCh)
+		s.cond.Broadcast()
 	}
+	s.mu.Unlock()
+	// A cut after the workers exit finds no attempt and leaves err alone.
+	var err error
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		if len(s.attempts) > 0 {
+			err = ctx.Err()
+		}
+		s.cancel()
+		s.mu.Unlock()
+	})
+	s.wg.Wait()
+	stop()
 	// Every queued/running job record is already in the store (Submit
 	// and claim both persist before acting); the checkpoint's job is to
-	// force the tail of the WAL onto stable storage.
-	if serr := s.srv.Store().Sync(); serr != nil && err == nil {
+	// force the tail of the WAL onto stable storage (Close already did).
+	if serr := s.srv.Store().Sync(); serr != nil && !errors.Is(serr, db.ErrClosed) {
 		err = serr
 	}
 	return err
@@ -844,7 +835,7 @@ func (s *Service) announce(j *Job, dur time.Duration) {
 }
 
 // Cancel stops a job: queued jobs become cancelled immediately; running
-// jobs are flagged and transition when the in-flight attempt returns;
+// jobs are flagged and their attempt is stopped, so they end cancelled;
 // remote jobs are flagged locally and the cancellation is relayed to the
 // executing peer best-effort (if the peer is unreachable, the flag is
 // honored when the job falls back to local execution). The bool reports
@@ -874,6 +865,9 @@ func (s *Service) Cancel(id string) (bool, error) {
 	case StateRunning, StateRemote:
 		j.Cancel = true
 		err := s.put(j)
+		if stop := s.attempts[j.ID]; stop != nil && err == nil {
+			stop()
+		}
 		rc := s.remote
 		s.mu.Unlock()
 		if err != nil {
@@ -1084,14 +1078,14 @@ func (s *Service) RequeueAllRemote() int {
 }
 
 // next blocks until a runnable job is available, claims it (marking it
-// running and charging the owner's quota), and returns it. It returns nil
-// when the scheduler stops.
-func (s *Service) next() *Job {
+// running and charging the owner's quota), and returns it with its
+// attempt's context. It returns nil when the scheduler stops.
+func (s *Service) next() (*Job, context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.stopped {
-			return nil
+			return nil, nil
 		}
 		var skipped []*queueItem
 		var picked *Job
@@ -1119,13 +1113,15 @@ func (s *Service) next() *Job {
 				// not stranded, and park rather than kill the worker.
 				heap.Push(&s.queue, pickedItem)
 				if s.stopped {
-					return nil
+					return nil, nil
 				}
 				s.srv.Logger().Printf("jobsvc: persist claim of %s: %v", picked.ID, err)
 				s.cond.Wait()
 				continue
 			}
-			return picked
+			ctx, cancel := context.WithCancel(s.ctx)
+			s.attempts[picked.ID] = cancel
+			return picked, ctx
 		}
 		s.cond.Wait()
 	}
@@ -1137,11 +1133,11 @@ const maxCollectPatterns = 32
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
-		j := s.next()
+		j, ctx := s.next()
 		if j == nil {
 			return
 		}
-		res, err := s.runAttempt(j)
+		res, err := s.runAttempt(ctx, j)
 		s.finish(j, res, err)
 	}
 }
@@ -1149,13 +1145,13 @@ func (s *Service) worker() {
 // runAttempt executes one attempt with its output spooled: stdout/stderr
 // stream to the job's artifact files (or head-only buffers without a
 // stager) and the finalized ExecResult carries heads + artifact refs.
-func (s *Service) runAttempt(j *Job) (ExecResult, error) {
+func (s *Service) runAttempt(ctx context.Context, j *Job) (ExecResult, error) {
 	owner, err := pki.ParseDN(j.Owner)
 	if err != nil {
 		return ExecResult{}, err
 	}
 	sp := s.newSpool(j, owner)
-	status, execErr := s.exec(owner, j.Command, sp.stdout, sp.stderr)
+	status, execErr := s.exec(ctx, owner, j.Command, sp.stdout, sp.stderr)
 	stageStart := time.Now()
 	res := s.finalize(j, owner, sp, status, execErr)
 	s.stageHist.Observe(time.Since(stageStart))
@@ -1220,10 +1216,15 @@ func (s *Service) Delete(id string) error {
 
 // finish records the attempt outcome: success → done; failure → requeue
 // while retry budget remains, else failed; a cancel request observed
-// mid-run wins over retries.
+// mid-run wins over retries. An attempt Drain cut short records nothing.
 func (s *Service) finish(j *Job, res ExecResult, execErr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.attempts[j.ID]()
+	delete(s.attempts, j.ID)
+	if s.ctx.Err() != nil {
+		return
+	}
 	// Re-read for a cancel flag set while the attempt ran.
 	if cur, ok := s.Get(j.ID); ok {
 		j.Cancel = cur.Cancel

@@ -32,7 +32,7 @@ func testServer(t *testing.T, dir string) *core.Server {
 
 // echoExec is a fake executor: "echo X" succeeds with X on stdout,
 // "fail" exits 1, "error" cannot run at all.
-func echoExec(owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
+func echoExec(_ context.Context, owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
 	switch {
 	case strings.HasPrefix(command, "echo "):
 		io.WriteString(stdout, strings.TrimPrefix(command, "echo ")+"\n")
@@ -52,7 +52,7 @@ func newService(t *testing.T, srv *core.Server, cfg Config, exec Executor) *Serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Stop)
+	t.Cleanup(func() { s.Drain(context.Background()) })
 	return s
 }
 
@@ -104,7 +104,7 @@ type gateExec struct {
 	gate    chan struct{}
 }
 
-func (g *gateExec) exec(owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
+func (g *gateExec) exec(_ context.Context, owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
 	g.mu.Lock()
 	g.started = append(g.started, command)
 	g.mu.Unlock()
@@ -182,7 +182,7 @@ func TestFairShareQuota(t *testing.T) {
 func TestRetriesThenFailure(t *testing.T) {
 	srv := testServer(t, "")
 	var attempts atomic.Int32
-	exec := func(owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
+	exec := func(_ context.Context, owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
 		attempts.Add(1)
 		io.WriteString(stderr, "always fails\n")
 		return ExecStatus{ExitCode: 1}, nil
@@ -204,7 +204,7 @@ func TestRetriesThenFailure(t *testing.T) {
 func TestRetrySucceedsOnSecondAttempt(t *testing.T) {
 	srv := testServer(t, "")
 	var attempts atomic.Int32
-	exec := func(owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
+	exec := func(_ context.Context, owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
 		if attempts.Add(1) == 1 {
 			return ExecStatus{ExitCode: 1}, nil
 		}
@@ -443,7 +443,7 @@ func TestRecoveryNotifiesTerminalTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Stop()
+	defer s.Drain(context.Background())
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if len(rec.sent) != 1 || rec.sent[0] != "job.failed" {
@@ -483,7 +483,7 @@ func TestTerminalNotifications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Stop()
+	defer s.Drain(context.Background())
 	ok, _ := s.Submit(alice, "echo fine", 0, 0)
 	bad, _ := s.Submit(alice, "fail", 0, 0)
 	s.Wait(ok.ID, 5*time.Second)
@@ -771,7 +771,7 @@ func (d *dirStager) ownerOf(jobID string) string {
 
 // bulkExec emits n bytes of patterned stdout.
 func bulkExec(n int) Executor {
-	return func(owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
+	return func(_ context.Context, owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
 		chunk := make([]byte, 8192)
 		for i := range chunk {
 			chunk[i] = byte('a' + i%26)

@@ -50,7 +50,6 @@ type machine struct {
 	t      *testing.T
 	s      *Service
 	gate   chan struct{}
-	stop   chan struct{}
 	log    *lifecycleLog
 	events *pubsub.Subscription
 }
@@ -59,7 +58,7 @@ type machine struct {
 // seed and whose request log is the machine's lifecycle log.
 func startMachine(t *testing.T, cfg Config, seed ...*Job) *machine {
 	t.Helper()
-	m := &machine{t: t, gate: make(chan struct{}), stop: make(chan struct{}), log: &lifecycleLog{}}
+	m := &machine{t: t, gate: make(chan struct{}), log: &lifecycleLog{}}
 	srv, err := core.NewServer(core.Config{RequestLog: slog.New(m.log)})
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +70,10 @@ func startMachine(t *testing.T, cfg Config, seed ...*Job) *machine {
 		}
 	}
 	m.events = srv.Events().Subscribe("transitions", func(ev *pubsub.Event) bool { return ev.Type == "job.state" }, 4096)
-	s, err := New(srv, cfg, func(owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
+	s, err := New(srv, cfg, func(ctx context.Context, owner pki.DN, command string, stdout, stderr io.Writer) (ExecStatus, error) {
 		select {
 		case <-m.gate:
-		case <-m.stop:
+		case <-ctx.Done():
 		}
 		if command == "fail" {
 			return ExecStatus{ExitCode: 1}, nil
@@ -85,8 +84,7 @@ func startMachine(t *testing.T, cfg Config, seed ...*Job) *machine {
 		t.Fatal(err)
 	}
 	m.s = s
-	t.Cleanup(s.Stop)
-	t.Cleanup(func() { close(m.stop) }) // runs first: unblock attempts so Stop returns
+	t.Cleanup(func() { core.HardStop(s.Drain) })
 	return m
 }
 
@@ -179,13 +177,8 @@ func TestEveryTransitionAnnouncedOnce(t *testing.T) {
 			setup: func(m *machine) string { id := m.submit("fail", 0, 0); m.waitState(id, StateRunning); return id },
 			act:   func(m *machine, id string) { m.release() }},
 		{name: "attempt cancelled", to: StateCancelled,
-			setup: func(m *machine) string {
-				id := m.submit("ok", 0, 0)
-				m.waitState(id, StateRunning)
-				m.s.Cancel(id)
-				return id
-			},
-			act: func(m *machine, id string) { m.release() }},
+			setup: func(m *machine) string { id := m.submit("ok", 0, 0); m.waitState(id, StateRunning); return id },
+			act:   func(m *machine, id string) { m.s.Cancel(id) }},
 		{name: "retry", to: StateQueued,
 			setup: func(m *machine) string {
 				id := m.submit("fail", 0, 1)

@@ -2,6 +2,7 @@ package metasched
 
 import (
 	"bytes"
+	"context"
 	"crypto/md5"
 	"encoding/hex"
 	"errors"
@@ -162,13 +163,10 @@ func newHarnessJobs(t *testing.T, cfg Config, jcfg jobsvc.Config, dialErr map[st
 		gate:  make(chan struct{}, 1024),
 		dials: map[string]int{},
 	}
-	// done releases the gated executor when the test ends, so that a test
-	// that fails before it feeds h.gate does not hang in h.jobs.Stop.
-	done := make(chan struct{})
-	exec := func(owner pki.DN, command string, stdout, stderr io.Writer) (jobsvc.ExecStatus, error) {
+	exec := func(ctx context.Context, owner pki.DN, command string, stdout, stderr io.Writer) (jobsvc.ExecStatus, error) {
 		select {
 		case <-h.gate:
-		case <-done:
+		case <-ctx.Done():
 		}
 		h.mu.Lock()
 		h.ranHere = append(h.ranHere, command)
@@ -180,8 +178,7 @@ func newHarnessJobs(t *testing.T, cfg Config, jcfg jobsvc.Config, dialErr map[st
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(h.jobs.Stop)
-	t.Cleanup(func() { close(done) }) // runs before h.jobs.Stop
+	t.Cleanup(func() { core.HardStop(h.jobs.Drain) })
 	dial := func(url string) (Conn, error) {
 		h.mu.Lock()
 		h.dials[url]++

@@ -2,6 +2,7 @@ package shellsvc
 
 import (
 	"bufio"
+	"context"
 	"crypto/md5"
 	"encoding/hex"
 	"fmt"
@@ -30,8 +31,22 @@ type Result struct {
 // to its destination (spool file or response buffer) without the
 // interpreter ever holding the whole stream.
 type interp struct {
+	ctx     context.Context // ends the line: commands check it between lines or chunks
 	sandbox string
 	cwd     string // current dir, absolute, inside sandbox
+}
+
+// ctxReader ends a read loop once ctx ends: each chunk checks it first.
+type ctxReader struct {
+	ctx context.Context
+	r   io.Reader
+}
+
+func (c ctxReader) Read(p []byte) (int, error) {
+	if err := c.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return c.r.Read(p)
 }
 
 // BuiltinCommands lists the commands the interpreter understands, for
@@ -148,7 +163,7 @@ func (ip *interp) run(line, localUser string, stdout, stderr io.Writer) int {
 			continue
 		}
 		code = ip.runSimple(segment, localUser, stdout, stderr)
-		if code != 0 {
+		if code != 0 || ip.ctx.Err() != nil {
 			break
 		}
 	}
@@ -213,8 +228,8 @@ func (ip *interp) runSimple(segment, localUser string, stdout, stderr io.Writer)
 	}
 }
 
-// sleepCap bounds a single sleep so a job payload cannot pin a worker
-// indefinitely (the job service's cancel path only acts between attempts).
+// sleepCap bounds a single sleep; job.cancel, shutdown and the method
+// deadline end ctx, which cuts it short.
 const sleepCap = 30 * time.Second
 
 func (ip *interp) sleep(args []string, out, errw io.Writer) int {
@@ -231,7 +246,10 @@ func (ip *interp) sleep(args []string, out, errw io.Writer) int {
 	if d > sleepCap {
 		d = sleepCap
 	}
-	time.Sleep(d)
+	select { // once ctx ends, run stops the line
+	case <-time.After(d):
+	case <-ip.ctx.Done():
+	}
 	return 0
 }
 
@@ -274,7 +292,7 @@ func (ip *interp) seq(args []string, out, errw io.Writer) int {
 		buf = strconv.AppendInt(buf, int64(i), 10)
 		buf = append(buf, '\n')
 		if len(buf) >= 32<<10 {
-			if _, werr := out.Write(buf); werr != nil {
+			if _, werr := out.Write(buf); werr != nil || ip.ctx.Err() != nil {
 				return 1
 			}
 			buf = buf[:0]
@@ -358,7 +376,7 @@ func (ip *interp) cat(args []string, out, errw io.Writer) int {
 			fmt.Fprintf(errw, "cat: %s: %v\n", a, errShort(err))
 			return 1
 		}
-		_, err = io.Copy(out, f)
+		_, err = io.Copy(out, ctxReader{ip.ctx, f})
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(errw, "cat: %s: %v\n", a, errShort(err))
@@ -442,24 +460,17 @@ func (ip *interp) cp(args []string, out, errw io.Writer) int {
 	if fi, statErr := os.Stat(dst); statErr == nil && fi.IsDir() {
 		dst = filepath.Join(dst, filepath.Base(src))
 	}
-	if err := copyFile(src, dst); err != nil {
+	if _, _, err := copyFileHash(ip.ctx, src, dst); err != nil {
 		fmt.Fprintf(errw, "cp: %v\n", errShort(err))
 		return 1
 	}
 	return 0
 }
 
-// copyFile streams src into dst (create/truncate) without buffering the
-// whole file in memory.
-func copyFile(src, dst string) error {
-	_, _, err := copyFileHash(src, dst)
-	return err
-}
-
-// copyFileHash is copyFile additionally returning the copied byte count
-// and hex MD5, computed while the copy streams — so artifact staging
-// never reads a file twice to describe it.
-func copyFileHash(src, dst string) (int64, string, error) {
+// copyFileHash streams src into dst (create/truncate) until ctx ends,
+// returning the copied byte count and hex MD5 computed as the copy
+// streams, so artifact staging never reads a file twice to describe it.
+func copyFileHash(ctx context.Context, src, dst string) (int64, string, error) {
 	in, err := os.Open(src)
 	if err != nil {
 		return 0, "", err
@@ -470,7 +481,7 @@ func copyFileHash(src, dst string) (int64, string, error) {
 		return 0, "", err
 	}
 	h := md5.New()
-	n, err := io.Copy(out, io.TeeReader(in, h))
+	n, err := io.Copy(out, io.TeeReader(ctxReader{ctx, in}, h))
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
@@ -548,7 +559,7 @@ func (ip *interp) wc(args []string, out, errw io.Writer) int {
 	inWord := false
 	buf := make([]byte, 64<<10)
 	for {
-		n, rerr := f.Read(buf)
+		n, rerr := ctxReader{ip.ctx, f}.Read(buf)
 		bytes += int64(n)
 		for _, c := range buf[:n] {
 			if c == '\n' {
@@ -600,7 +611,7 @@ func (ip *interp) head(args []string, out, errw io.Writer) int {
 		return 1
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	r := bufio.NewReader(ctxReader{ip.ctx, f})
 	for i := 0; i < n; i++ {
 		line, rerr := r.ReadString('\n')
 		if line != "" {
@@ -635,6 +646,9 @@ func (ip *interp) grep(args []string, out, errw io.Writer) int {
 	}
 	found := 1
 	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if ip.ctx.Err() != nil {
+			return 2
+		}
 		if strings.Contains(line, pattern) {
 			fmt.Fprintln(out, line)
 			found = 0

@@ -1,6 +1,7 @@
 package shellsvc
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"clarens/internal/core"
 	"clarens/internal/pki"
@@ -115,9 +117,9 @@ func (s *Service) SandboxVirtual(localUser string) string {
 // when AllowRealExec is set). It is the execution backend for the
 // asynchronous job service, which spools job outputs to per-job artifact
 // files instead of retaining them as strings — nothing in this path
-// buffers the full stream in memory. The exit code and mapped local user
-// are returned.
-func (s *Service) ExecStreamAs(dn pki.DN, line string, stdout, stderr io.Writer) (int, string, error) {
+// buffers the full stream in memory. The exit code, mapped local user
+// and ctx.Err() are returned: the command stops when ctx ends.
+func (s *Service) ExecStreamAs(ctx context.Context, dn pki.DN, line string, stdout, stderr io.Writer) (int, string, error) {
 	if dn.IsZero() {
 		return 0, "", &rpc.Fault{Code: rpc.CodeNotAuthorized, Message: "shell: authentication required"}
 	}
@@ -133,17 +135,17 @@ func (s *Service) ExecStreamAs(dn pki.DN, line string, stdout, stderr io.Writer)
 		return 0, "", err
 	}
 	if s.AllowRealExec {
-		return s.realExec(line, sandbox, stdout, stderr), user, nil
+		return s.realExec(ctx, line, sandbox, stdout, stderr), user, ctx.Err()
 	}
-	ip := &interp{sandbox: sandbox, cwd: sandbox}
-	return ip.run(line, user, stdout, stderr), user, nil
+	ip := &interp{ctx: ctx, sandbox: sandbox, cwd: sandbox}
+	return ip.run(line, user, stdout, stderr), user, ctx.Err()
 }
 
-// ExecAs is ExecStreamAs with buffered capture, for callers that want the
-// whole (small) output as strings — shell.cmd's interactive round trip.
+// ExecAs is ExecStreamAs with buffered capture and no deadline, for
+// callers that want the whole (small) output as strings.
 func (s *Service) ExecAs(dn pki.DN, line string) (Result, string, error) {
 	var out, errw strings.Builder
-	code, user, err := s.ExecStreamAs(dn, line, &out, &errw)
+	code, user, err := s.ExecStreamAs(context.Background(), dn, line, &out, &errw)
 	if err != nil {
 		return Result{}, "", err
 	}
@@ -231,7 +233,7 @@ func (s *Service) CollectInto(dn pki.DN, patterns []string, destDir string, file
 				skipped = append(skipped, name)
 				continue
 			}
-			size, digest, cerr := copyFileHash(real, filepath.Join(destDir, name))
+			size, digest, cerr := copyFileHash(context.Background(), real, filepath.Join(destDir, name))
 			if cerr != nil {
 				return nil, nil, fmt.Errorf("shell: collect %q: %v", name, cerr)
 			}
@@ -247,14 +249,15 @@ func (s *Service) CollectInto(dn pki.DN, patterns []string, destDir string, file
 }
 
 func (s *Service) cmd(ctx *core.Context, line string) (map[string]any, error) {
-	res, user, err := s.ExecAs(ctx.DN, line)
+	var out, errw strings.Builder
+	code, user, err := s.ExecStreamAs(ctx, ctx.DN, line, &out, &errw)
 	if err != nil {
 		return nil, err
 	}
 	return map[string]any{
-		"stdout":    res.Stdout,
-		"stderr":    res.Stderr,
-		"exit_code": res.ExitCode,
+		"stdout":    out.String(),
+		"stderr":    errw.String(),
+		"exit_code": code,
 		"user":      user,
 		"sandbox":   s.SandboxVirtual(user),
 	}, nil
@@ -264,12 +267,13 @@ func (s *Service) cmd(ctx *core.Context, line string) (map[string]any, error) {
 // wiring the process's stdout/stderr straight to the capture writers.
 // This is the opt-in mode closest to the original service (which
 // additionally switched to the mapped Unix uid).
-func (s *Service) realExec(line, sandbox string, stdout, stderr io.Writer) int {
-	cmd := exec.Command("/bin/sh", "-c", line)
+func (s *Service) realExec(ctx context.Context, line, sandbox string, stdout, stderr io.Writer) int {
+	cmd := exec.CommandContext(ctx, "/bin/sh", "-c", line)
 	cmd.Dir = sandbox
 	cmd.Env = []string{"HOME=" + sandbox, "PATH=/usr/bin:/bin"}
 	cmd.Stdout = stdout
 	cmd.Stderr = stderr
+	cmd.WaitDelay = time.Second // a child of the killed shell may hold the pipes
 	err := cmd.Run()
 	code := 0
 	if err != nil {

@@ -2,6 +2,7 @@ package shellsvc
 
 import (
 	"bytes"
+	"context"
 	"crypto/md5"
 	"encoding/hex"
 	"net/http"
@@ -371,7 +372,7 @@ func TestSeqStreamsLargeOutput(t *testing.T) {
 	// seq streams straight to the supplied writer — the job service's
 	// spool path; exercise it through ExecStreamAs.
 	var out, errw strings.Builder
-	code, user, err := f.svc.ExecStreamAs(joeDN, "seq 3", &out, &errw)
+	code, user, err := f.svc.ExecStreamAs(context.Background(), joeDN, "seq 3", &out, &errw)
 	if err != nil || code != 0 || user != "joe" {
 		t.Fatalf("seq = code %d user %q err %v", code, user, err)
 	}
@@ -379,7 +380,7 @@ func TestSeqStreamsLargeOutput(t *testing.T) {
 		t.Errorf("seq 3 = %q", out.String())
 	}
 	// FIRST LAST form plus redirection into a sandbox file.
-	if code, _, _ := f.svc.ExecStreamAs(joeDN, "seq 5 7 > r.txt && cat r.txt", &out, &errw); code != 0 {
+	if code, _, _ := f.svc.ExecStreamAs(context.Background(), joeDN, "seq 5 7 > r.txt && cat r.txt", &out, &errw); code != 0 {
 		t.Fatalf("redirect exit %d, stderr %q", code, errw.String())
 	}
 	if !strings.HasSuffix(out.String(), "5\n6\n7\n") {
@@ -401,7 +402,7 @@ func TestExecStreamDoesNotBuffer(t *testing.T) {
 	f := newFixture(t)
 	w := &countingWriter{}
 	var errw strings.Builder
-	code, _, err := f.svc.ExecStreamAs(joeDN, "seq 100000", w, &errw)
+	code, _, err := f.svc.ExecStreamAs(context.Background(), joeDN, "seq 100000", w, &errw)
 	if err != nil || code != 0 {
 		t.Fatalf("code %d err %v (%s)", code, err, errw.String())
 	}
@@ -488,7 +489,7 @@ func TestSeqOverflowClamped(t *testing.T) {
 	var errw strings.Builder
 	done := make(chan int, 1)
 	go func() {
-		code, _, _ := f.svc.ExecStreamAs(joeDN, "seq -9000000000000000000 9000000000000000000", w, &errw)
+		code, _, _ := f.svc.ExecStreamAs(context.Background(), joeDN, "seq -9000000000000000000 9000000000000000000", w, &errw)
 		done <- code
 	}()
 	select {
