@@ -176,9 +176,6 @@ func (ip *interp) runSimple(segment, localUser string, stdout, stderr io.Writer)
 		fmt.Fprintf(stderr, "sh: %v\n", err)
 		return 2
 	}
-	if len(tokens) == 0 {
-		return 0
-	}
 	// Redirection: "cmd args > file" or ">> file".
 	redirect, appendMode := "", false
 	if n := len(tokens); n >= 2 {
@@ -189,9 +186,6 @@ func (ip *interp) runSimple(segment, localUser string, stdout, stderr io.Writer)
 			redirect, appendMode, tokens = tokens[n-1], true, tokens[:n-2]
 		}
 	}
-	name := tokens[0]
-	args := tokens[1:]
-
 	out := stdout
 	if redirect != "" {
 		abs, err := ip.resolvePath(redirect)
@@ -213,6 +207,10 @@ func (ip *interp) runSimple(segment, localUser string, stdout, stderr io.Writer)
 		defer f.Close()
 		out = f
 	}
+	if len(tokens) == 0 {
+		return 0 // a bare redirection only creates or truncates its file
+	}
+	name, args := tokens[0], tokens[1:]
 
 	switch {
 	case name == "whoami":
