@@ -66,6 +66,7 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return // Upgrade already wrote the HTTP error
 	}
+	conn.LimitReads() // a client sends only subscription ops
 	s.serveWS(conn, dn)
 }
 

@@ -216,3 +216,19 @@ func TestWSPingFrame(t *testing.T) {
 		t.Fatalf("ping answer: %+v", f)
 	}
 }
+
+// TestWSSessionEndsOnFrameOverReadLimit: /ws reads only subscription ops
+// from a client, so a client frame over 64 KiB ends the session, as a
+// frame over ws.MaxMessage does on an unlimited connection.
+func TestWSSessionEndsOnFrameOverReadLimit(t *testing.T) {
+	s := newTestServer(t)
+	hs := startWS(t, s)
+	conn := dialWS(t, hs.URL, sessionID(t, s, adminDN))
+	if err := conn.WriteMessage(ws.OpText, make([]byte, 64<<10+1)); err != nil {
+		return // the server already ended the session
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, data, err := conn.ReadMessage(); err == nil {
+		t.Fatalf("the session answered %.80q instead of ending", data)
+	}
+}

@@ -37,7 +37,8 @@ const (
 // wsGUID is the magic key suffix of the opening handshake (§1.3).
 const wsGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
-// MaxMessage bounds a reassembled message; larger peers are cut off.
+// MaxMessage bounds a frame and a reassembled message, unless LimitReads
+// lowered the bound; larger peers are cut off.
 const MaxMessage = 8 << 20
 
 // frameChunk is the most a frame's payload buffer holds before any of
@@ -54,6 +55,7 @@ type Conn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	client bool // client side masks outgoing frames
+	limit  int  // read bound: MaxMessage, or frameChunk after LimitReads
 
 	wmu       sync.Mutex
 	closeOnce sync.Once
@@ -64,8 +66,13 @@ func newConn(c net.Conn, br *bufio.Reader, client bool) *Conn {
 	if br == nil {
 		br = bufio.NewReader(c)
 	}
-	return &Conn{conn: c, br: br, client: client}
+	return &Conn{conn: c, br: br, client: client, limit: MaxMessage}
 }
+
+// LimitReads bounds every frame and message c reads to 64 KiB, which a
+// client's subscription ops fit in, so each frame is one exact
+// allocation. Call it before the first read.
+func (c *Conn) LimitReads() { c.limit = frameChunk }
 
 // Upgrade performs the server side of the opening handshake, hijacking
 // the HTTP connection. On failure it writes an HTTP error response to w
@@ -309,7 +316,7 @@ func (c *Conn) ReadMessage() (opcode int, payload []byte, err error) {
 			if msgOp == 0 {
 				return 0, nil, errors.New("ws: continuation without initial frame")
 			}
-			if len(msg)+len(data) > MaxMessage {
+			if len(msg)+len(data) > c.limit {
 				c.Close()
 				return 0, nil, errors.New("ws: message too large")
 			}
@@ -363,7 +370,7 @@ func (c *Conn) readFrame() (opcode byte, fin bool, payload []byte, err error) {
 		}
 		length = binary.BigEndian.Uint64(ext[:])
 	}
-	if length > MaxMessage {
+	if length > uint64(c.limit) {
 		c.Close()
 		return 0, false, nil, errors.New("ws: frame too large")
 	}
