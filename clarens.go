@@ -809,14 +809,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.station.Close()
 	}
 	// 3. Broadcast "closing" on /ws, stop the listener, compact + close.
-	var cut error
-	for _, err := range []error{drained, jobs, s.core.Shutdown(ctx)} {
+	errs := []error{drained, jobs, s.core.Shutdown(ctx)}
+	for _, err := range errs {
 		if err != nil && !errors.Is(err, ctx.Err()) {
 			return err
 		}
-		cut = cmp.Or(cut, err)
 	}
-	return cut
+	return cmp.Or(errs...)
 }
 
 // Close is Shutdown with no time left.

@@ -565,6 +565,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	})
 	s.wg.Wait()
 	stop()
+	s.cancel()
 	// Every queued/running job record is already in the store (Submit
 	// and claim both persist before acting); the checkpoint's job is to
 	// force the tail of the WAL onto stable storage (Close already did).
