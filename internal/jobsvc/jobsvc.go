@@ -568,7 +568,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.cancel()
 	// Every queued/running job record is already in the store (Submit
 	// and claim both persist before acting); the checkpoint's job is to
-	// force the tail of the WAL onto stable storage (Close already did).
+	// force the tail of the WAL onto stable storage (a closed store did).
 	if serr := s.srv.Store().Sync(); serr != nil && !errors.Is(serr, db.ErrClosed) {
 		err = serr
 	}
